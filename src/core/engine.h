@@ -57,8 +57,7 @@ struct EntailOptions {
   int max_rewritten_disjuncts = 1 << 16;
   /// Cost oracle for the Prepare() cost-plan pass (core/planner.h);
   /// null disables costing (the default static heuristics apply). The
-  /// planner influences schedules and engine routes, never verdicts,
-  /// and its fingerprint() is part of the plan fingerprint.
+  /// planner influences schedules and engine routes, never verdicts.
   std::shared_ptr<const QueryPlanner> planner;
 };
 

@@ -65,12 +65,17 @@ class QueryPlanner {
   virtual QueryPlanChoice PlanQuery(
       const std::vector<NormConjunct>& disjuncts) const = 0;
 
-  /// Mixed into FingerprintPlanInputs: two planners whose fingerprints
-  /// differ may produce different (equally correct) plans, so plan
-  /// caches must not serve one's plan for the other. Implementations
-  /// may deliberately coarsen this (quantized statistics) to keep cache
-  /// hits across small database mutations — verdicts are planner-
-  /// independent by construction, only schedules vary.
+  /// A shortcut for plan caches, not part of plan identity: planners with
+  /// equal fingerprints count as interchangeable, so a cache may route a
+  /// request straight to the plan an equal-fingerprint planner led to,
+  /// without re-running Prepare(). Planners with different fingerprints
+  /// may still agree; the cache then finds out by preparing once and
+  /// comparing the plans' CostPlanOutcome (core/prepare.h), and shares
+  /// the plan when they match. Implementations may deliberately coarsen
+  /// this (quantized statistics) to keep routes alive across small
+  /// database mutations, at the price of serving one planner's choices
+  /// to a near-equal one — verdicts are planner-independent by
+  /// construction, only schedules vary.
   virtual uint64_t fingerprint() const = 0;
 };
 

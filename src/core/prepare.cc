@@ -177,6 +177,27 @@ Status ExhaustedStatus(ExecBudget* budget, const std::string& what,
   return budget->ToStatus(what);
 }
 
+int CostedSchedules(const CostPlanOutcome& outcome) {
+  return static_cast<int>(
+      std::count_if(outcome.schedules.begin(), outcome.schedules.end(),
+                    [](const std::vector<int>& seq) { return !seq.empty(); }));
+}
+
+// The cost-plan pass record of a planned outcome; `planner_detail` is the
+// planner's provenance note (QueryPlanChoice::detail).
+std::string CostPlanDetail(const CostPlanOutcome& outcome,
+                           const std::string& planner_detail) {
+  std::string detail =
+      "schedules " + std::to_string(CostedSchedules(outcome)) + "/" +
+      std::to_string(outcome.schedules.size()) +
+      ", reorder=" + (outcome.disjunct_order.empty() ? "no" : "yes") +
+      ", engine=" +
+      (outcome.engine.has_value() ? EngineKindName(*outcome.engine)
+                                  : "no-opinion");
+  if (!planner_detail.empty()) detail += "; " + planner_detail;
+  return detail;
+}
+
 }  // namespace
 
 Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
@@ -186,7 +207,6 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
   PreparedQuery plan;
   plan.vocab_ = vocab;
   plan.options_ = options;
-  plan.fingerprint_ = FingerprintPlanInputs(query, options);
 
   // Pass 1: constant elimination (query side; the marker facts are
   // recorded for evaluation-time injection).
@@ -336,11 +356,14 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
   {
     PassRecord record{QueryPassId::kCostPlan, false, ""};
     const QueryPlanner* planner = options.planner.get();
+    CostPlanOutcome& outcome = plan.cost_outcome_;
+    outcome.planned = planner != nullptr;
     if (planner == nullptr) {
       record.detail = "no planner (costing off)";
     } else if (plan.disjuncts_.empty()) {
       record.detail = "no disjuncts to cost";
     } else {
+      outcome.schedules.resize(plan.disjuncts_.size());
       std::vector<NormConjunct> reduced;
       reduced.reserve(plan.disjuncts_.size());
       for (const DisjunctPlan& entry : plan.disjuncts_) {
@@ -379,7 +402,7 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
           if (seq == default_seq) continue;
           entry.compiled = CompileConjunct(entry.reduced, &seq);
           entry.costed_schedule = true;
-          ++plan.costed_schedules_;
+          outcome.schedules[i] = seq;
         }
       }
 
@@ -401,7 +424,7 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
           permuted.reserve(plan.disjuncts_.size());
           for (int d : order) permuted.push_back(std::move(plan.disjuncts_[d]));
           plan.disjuncts_ = std::move(permuted);
-          plan.costed_reorder_ = true;
+          outcome.disjunct_order = order;
         }
       }
 
@@ -409,19 +432,13 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
       // kAuto; applicability is re-checked per database at Evaluate.
       if (choice.engine != EngineKind::kAuto &&
           options.engine == EngineKind::kAuto) {
-        plan.costed_engine_ = choice.engine;
+        outcome.engine = choice.engine;
       }
 
-      record.applied = plan.costed_schedules_ > 0 || plan.costed_reorder_ ||
-                       plan.costed_engine_.has_value();
-      record.detail = "schedules " + std::to_string(plan.costed_schedules_) +
-                      "/" + std::to_string(plan.disjuncts_.size()) +
-                      ", reorder=" + (plan.costed_reorder_ ? "yes" : "no") +
-                      ", engine=" +
-                      (plan.costed_engine_.has_value()
-                           ? EngineKindName(*plan.costed_engine_)
-                           : "no-opinion");
-      if (!choice.detail.empty()) record.detail += "; " + choice.detail;
+      record.applied = CostedSchedules(outcome) > 0 ||
+                       !outcome.disjunct_order.empty() ||
+                       outcome.engine.has_value();
+      record.detail = CostPlanDetail(outcome, choice.detail);
     }
     plan.passes_.push_back(std::move(record));
   }
@@ -483,7 +500,6 @@ uint64_t FingerprintPlanInputs(const Query& query,
 PreparedQuery::PreparedQuery(const PreparedQuery& other)
     : vocab_(other.vocab_),
       options_(other.options_),
-      fingerprint_(other.fingerprint_),
       passes_(other.passes_),
       disjuncts_(other.disjuncts_),
       markers_(other.markers_),
@@ -491,9 +507,7 @@ PreparedQuery::PreparedQuery(const PreparedQuery& other)
       sentinel_vars_(other.sentinel_vars_),
       trivially_true_(other.trivially_true_),
       planned_engine_(other.planned_engine_),
-      costed_engine_(other.costed_engine_),
-      costed_schedules_(other.costed_schedules_),
-      costed_reorder_(other.costed_reorder_),
+      cost_outcome_(other.cost_outcome_),
       static_split_(other.static_split_),
       static_reduced_split_(other.static_reduced_split_),
       static_plan_index_(other.static_plan_index_) {
@@ -634,7 +648,7 @@ Result<EntailResult> PreparedQuery::EvaluateWith(const Database& db,
     // A costed route is taken only when applicable to THIS database's
     // instance; otherwise the static auto rule decides. Suggestions are
     // advisory, so inapplicability falls back instead of erroring.
-    std::optional<EngineKind> costed = costed_engine_;
+    std::optional<EngineKind> costed = cost_outcome_.engine;
     if (costed.has_value()) {
       const bool applicable =
           *costed == EngineKind::kBruteForce ||
@@ -938,8 +952,8 @@ std::string PreparedQuery::Explain() const {
     out += "\n";
   }
   out += std::string("dispatch: ") + EngineKindName(planned_engine_);
-  if (costed_engine_.has_value()) {
-    out += std::string(" -> ") + EngineKindName(*costed_engine_) +
+  if (cost_outcome_.engine.has_value()) {
+    out += std::string(" -> ") + EngineKindName(*cost_outcome_.engine) +
            " (costed route, where applicable)";
   }
   out += " (database-dependent filtering may adjust)\n";
@@ -948,21 +962,50 @@ std::string PreparedQuery::Explain() const {
 }
 
 std::string PreparedQuery::PlanChoiceSummary() const {
-  if (costed_schedules_ == 0 && !costed_reorder_ &&
-      !costed_engine_.has_value()) {
+  const int schedules = CostedSchedules(cost_outcome_);
+  const bool reorder = !cost_outcome_.disjunct_order.empty();
+  if (schedules == 0 && !reorder && !cost_outcome_.engine.has_value()) {
     return "default";
   }
-  std::string out = "costed(sched=" + std::to_string(costed_schedules_) +
-                    "/" + std::to_string(disjuncts_.size()) +
-                    ",reorder=" + (costed_reorder_ ? "yes" : "no");
-  if (costed_engine_.has_value()) {
-    out += std::string(",engine=") + EngineKindName(*costed_engine_);
+  std::string out = "costed(sched=" + std::to_string(schedules) + "/" +
+                    std::to_string(disjuncts_.size()) +
+                    ",reorder=" + (reorder ? "yes" : "no");
+  if (cost_outcome_.engine.has_value()) {
+    out += std::string(",engine=") + EngineKindName(*cost_outcome_.engine);
   }
   return out + ")";
 }
 
 std::string PreparedQuery::Explain(const EntailResult& result) const {
   return Explain() + ExplainEvaluation(result);
+}
+
+std::string PreparedQuery::Explain(const EntailResult& result,
+                                   const QueryPlanner* planner) const {
+  if (planner == nullptr || !cost_outcome_.planned || disjuncts_.empty()) {
+    return Explain(result);
+  }
+  // Per-disjunct estimates do not depend on the order of the input, so
+  // costing the plan's (possibly reordered) disjuncts lines them up.
+  std::vector<NormConjunct> reduced;
+  reduced.reserve(disjuncts_.size());
+  for (const DisjunctPlan& entry : disjuncts_) reduced.push_back(entry.reduced);
+  const QueryPlanChoice choice = planner->PlanQuery(reduced);
+  // Explain is rare; a copy carrying the new estimates keeps it simple.
+  PreparedQuery recosted(*this);
+  for (size_t i = 0; i < disjuncts_.size(); ++i) {
+    // A proposal of the wrong size is discarded whole, as in Prepare().
+    recosted.disjuncts_[i].est_cost =
+        choice.disjuncts.size() == disjuncts_.size()
+            ? choice.disjuncts[i].est_cost
+            : -1.0;
+  }
+  for (PassRecord& record : recosted.passes_) {
+    if (record.id == QueryPassId::kCostPlan) {
+      record.detail = CostPlanDetail(cost_outcome_, choice.detail);
+    }
+  }
+  return recosted.Explain(result);
 }
 
 std::string PreparedQuery::ExplainEvaluation(const EntailResult& result) const {

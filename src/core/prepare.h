@@ -109,6 +109,29 @@ struct DisjunctPlan {
   bool costed_schedule = false;
 };
 
+/// What the cost-plan pass accepted: the part of its output that shapes
+/// the compiled plan. Two Prepare() runs over the same query text and the
+/// same non-planner options build interchangeable plans exactly when
+/// their outcomes are equal — the plans then differ only in est_cost and
+/// provenance text — so plan caches identify a plan by this value, not
+/// by the planner that produced it.
+struct CostPlanOutcome {
+  /// A planner was consulted (costing on). Costing-off plans never equal
+  /// costing-on ones, even when the planner changed nothing.
+  bool planned = false;
+  /// Per disjunct, in Prepare's input order (before any reordering): the
+  /// accepted variable schedule, or empty for the default topological
+  /// one. Empty when nothing was planned.
+  std::vector<std::vector<int>> schedules;
+  /// The accepted disjunct permutation; empty keeps the input order.
+  std::vector<int> disjunct_order;
+  /// The accepted engine route (kept only under kAuto).
+  std::optional<EngineKind> engine;
+
+  friend bool operator==(const CostPlanOutcome&,
+                         const CostPlanOutcome&) = default;
+};
+
 /// A compiled entailment query: the output of Prepare(). Cheap to
 /// evaluate repeatedly; copyable (copies start with cold caches);
 /// independent of any database (databases evaluated against must share
@@ -136,7 +159,7 @@ class PreparedQuery {
   /// verdict the call returns kDeadlineExceeded / kCancelled with the
   /// partial work counters merged into the budget (ExecBudget::partial).
   /// Budgets are evaluation-time state, deliberately NOT part of the plan
-  /// or its fingerprint, so governed and ungoverned requests share cached
+  /// or its cache key, so governed and ungoverned requests share cached
   /// plans. A governed run that does not exhaust its budget returns
   /// results bit-identical to an ungoverned run.
   Result<EntailResult> Evaluate(const Database& db,
@@ -179,6 +202,15 @@ class PreparedQuery {
   /// As Explain(), followed by ExplainEvaluation(result).
   std::string Explain(const EntailResult& result) const;
 
+  /// As Explain(result), with the cost-plan estimates and provenance
+  /// recomputed by `planner` over this plan's disjuncts. A plan shared by
+  /// databases whose planners agree on the outcome then shows the
+  /// requesting database's estimates, not those of the database it was
+  /// first costed against. A null `planner`, or a plan prepared without
+  /// one, renders Explain(result) unchanged.
+  std::string Explain(const EntailResult& result,
+                      const QueryPlanner* planner) const;
+
   /// Renders just the "evaluation:" section: the work counters of
   /// `result` (models enumerated, incremental push/pop operations, index
   /// probes, assignments tried), so speedups are observable rather than
@@ -194,10 +226,9 @@ class PreparedQuery {
   /// The options the query was prepared with.
   const EntailOptions& options() const { return options_; }
 
-  /// The plan fingerprint: FingerprintPlanInputs(query, options) of the
-  /// inputs this plan was compiled from, recorded at Prepare() time. Plan
-  /// caches key on (Vocabulary::uid(), fingerprint()).
-  uint64_t fingerprint() const { return fingerprint_; }
+  /// The cost-plan pass outcome, the plan's identity among plans
+  /// prepared from the same query text and options (see CostPlanOutcome).
+  const CostPlanOutcome& cost_outcome() const { return cost_outcome_; }
 
   /// True if compilation already proved the query TRUE in every model.
   bool trivially_true() const { return trivially_true_; }
@@ -264,7 +295,6 @@ class PreparedQuery {
 
   VocabularyPtr vocab_;
   EntailOptions options_;
-  uint64_t fingerprint_ = 0;
   std::vector<PassRecord> passes_;
   std::vector<DisjunctPlan> disjuncts_;
   std::vector<ConstantShift::Marker> markers_;
@@ -272,12 +302,9 @@ class PreparedQuery {
   int sentinel_vars_ = 0;
   bool trivially_true_ = false;
   EngineKind planned_engine_ = EngineKind::kAuto;
-  // Cost-plan pass outputs: the planner's engine-route suggestion
-  // (applied at Evaluate when the options say kAuto and the route is
-  // applicable) and the counts behind PlanChoiceSummary().
-  std::optional<EngineKind> costed_engine_;
-  int costed_schedules_ = 0;
-  bool costed_reorder_ = false;
+  // What the cost-plan pass accepted. Its engine route is taken at
+  // Evaluate when the options say kAuto and the route is applicable.
+  CostPlanOutcome cost_outcome_;
   // The assembled query, precomputed when no disjunct has an object part
   // (then ground-fact filtering never drops anything, so the split is
   // database-independent and evaluations skip the per-call rebuild). A
@@ -326,9 +353,10 @@ PreparedQuery MustPrepare(const VocabularyPtr& vocab, const Query& query,
 /// fingerprint (FingerprintQuery) mixed with every option that changes
 /// the compiled plan or its verdict payload — semantics, forced engine,
 /// countermodel request, inequality-rewrite budget, and the planner's
-/// own fingerprint (0 when costing is off). Two Prepare() calls
-/// with equal fingerprints over the same vocabulary produce
-/// interchangeable plans, which is exactly the plan-cache contract.
+/// own fingerprint (0 when costing is off). A digest for logs and
+/// tools, NOT a cache key: distinct inputs can collide in 64 bits, so
+/// the service's plan cache (service/plan_cache.h) compares the query
+/// text and options exactly instead.
 uint64_t FingerprintPlanInputs(const Query& query,
                                const EntailOptions& options);
 

@@ -382,6 +382,10 @@ Result<ConstantShift> ShiftConstants(const Query& query) {
     QueryConjunct rewritten = conjunct;
     // constant name -> fresh variable name within this conjunct
     std::unordered_map<std::string, std::string> fresh;
+    // (marker predicate, fresh variable) atoms, appended after the loops:
+    // appending inside them would grow rewritten.proper_atoms under the
+    // references the loops hold into it.
+    std::vector<std::pair<std::string, std::string>> marker_atoms;
 
     auto freshen = [&](QueryTerm& term, Sort sort) -> Status {
       if (rewritten.IsVariable(term.name)) return Status::Ok();
@@ -401,7 +405,7 @@ Result<ConstantShift> ShiftConstants(const Query& query) {
           shift.markers.push_back({constant, sort, pred.value()});
         }
         rewritten.Exists(var);
-        rewritten.Atom(marker, {var});
+        marker_atoms.emplace_back(marker, var);
         it = fresh.emplace(constant, var).first;
       }
       term.name = it->second;
@@ -420,11 +424,7 @@ Result<ConstantShift> ShiftConstants(const Query& query) {
       s = freshen(atom.rhs, Sort::kOrder);
       if (!s.ok()) return s;
     }
-    // Proper atoms last: by now the conjunct may have gained marker atoms,
-    // but constants can still occur in the original proper atoms.
-    const size_t original_atom_count = conjunct.proper_atoms.size();
-    for (size_t a = 0; a < original_atom_count; ++a) {
-      QueryProperAtom& atom = rewritten.proper_atoms[a];
+    for (QueryProperAtom& atom : rewritten.proper_atoms) {
       std::optional<int> pred = vocab.FindPredicate(atom.pred);
       if (!pred.has_value()) {
         return Status::InvalidArgument("unknown predicate '" + atom.pred +
@@ -441,6 +441,9 @@ Result<ConstantShift> ShiftConstants(const Query& query) {
         Status s = freshen(atom.args[i], arg_sorts[i]);
         if (!s.ok()) return s;
       }
+    }
+    for (const auto& [marker, var] : marker_atoms) {
+      rewritten.Atom(marker, {var});
     }
     shift.query.AddDisjunct(std::move(rewritten));
   }

@@ -1,14 +1,34 @@
-// Bounded LRU cache of compiled query plans.
+// Bounded LRU cache of compiled query plans, shared across a database
+// fleet.
 //
 // The serving layer compiles queries once (core/prepare.h) and reuses the
-// plan across requests; this cache is the reuse point. Keys pair the
-// vocabulary identity with the structural plan fingerprint
-// (Vocabulary::uid(), FingerprintPlanInputs), so textual re-submissions
-// of the same query hit, while plans compiled against different
-// vocabularies — whose predicate ids are incomparable — can never be
-// confused. Values are shared immutable plans: a Get() returns a
-// shared_ptr that stays valid after the entry is evicted, so in-flight
-// evaluations never race an eviction.
+// plan across requests; this cache is the reuse point. It is looked up
+// BEFORE the query is parsed, so a hit runs neither ParseQuery, Prepare
+// nor the planner.
+//
+// Key. The exact request inputs Prepare() reads, compared field by field
+// (no hash stands in for equality): the vocabulary uid, the raw query
+// text, the semantics, the forced engine, the countermodel request and
+// the inequality-rewrite budget. A plan is database-independent, so the
+// key names no database; plans compiled against different vocabularies,
+// whose predicate ids are incomparable, never meet.
+//
+// Plans. Cost-based planning (core/planner.h) may build different plans
+// for one key, depending on each database's statistics. Under a key the
+// cache keeps the DISTINCT plans, identified by what the cost-plan pass
+// accepted (PreparedQuery::cost_outcome()): two plans with equal outcomes
+// differ only in estimates and provenance text, so one serves both. A
+// small bounded route table per key maps a planner fingerprint (or
+// "costing off") to the plan it led to. The fingerprint is a shortcut,
+// not part of plan identity: a planner with a new fingerprint costs one
+// miss — the caller runs Prepare once and Put() either files a new
+// distinct plan or routes the fingerprint to the equal plan it holds.
+//
+// Counting. Every Get() is one hit or one miss. The capacity, the entry
+// count and evictions count distinct plans; evicting a plan drops the
+// routes to it. Values are shared immutable plans: a returned shared_ptr
+// stays valid after its entry is evicted, so in-flight evaluations never
+// race an eviction.
 //
 // Thread-safe: all operations take an internal mutex. PreparedQuery's own
 // evaluation caches are internally synchronized as well, so a cached plan
@@ -22,6 +42,8 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -30,69 +52,124 @@
 
 namespace iodb {
 
-/// Cache key: the vocabulary identity plus the plan-input fingerprint.
-struct PlanKey {
-  uint64_t vocab_uid = 0;
-  uint64_t fingerprint = 0;
-
-  friend bool operator==(const PlanKey&, const PlanKey&) = default;
-};
-
-/// Hash functor for PlanKey.
-struct PlanKeyHash {
-  size_t operator()(const PlanKey& key) const {
-    size_t seed = static_cast<size_t>(key.vocab_uid);
-    HashCombine(seed, static_cast<size_t>(key.fingerprint));
-    return seed;
-  }
-};
-
 /// Counter snapshot; see PlanCache::stats().
 struct PlanCacheStats {
   long long hits = 0;
   long long misses = 0;
   long long evictions = 0;
-  long long entries = 0;   // current size
-  long long capacity = 0;  // configured bound
+  long long entries = 0;   // distinct plans held
+  long long capacity = 0;  // configured bound on distinct plans
 };
 
-/// Bounded, thread-safe LRU map from PlanKey to shared compiled plans.
+/// Bounded, thread-safe LRU cache of shared compiled plans. See the file
+/// comment for the key and the sharing rule.
 class PlanCache {
  public:
-  /// `capacity` is the maximum number of cached plans; must be positive.
+  /// `capacity` is the maximum number of distinct plans; must be positive.
   explicit PlanCache(size_t capacity);
 
-  /// Looks up `key`, refreshing its recency on a hit. Counts one hit or
-  /// one miss. Returns nullptr on a miss.
-  std::shared_ptr<const PreparedQuery> Get(const PlanKey& key);
+  /// The plan serving `query_text` under `options` (whose planner picks
+  /// the route), refreshing its recency on a hit. Counts one hit or one
+  /// miss. Returns nullptr on a miss.
+  std::shared_ptr<const PreparedQuery> Get(uint64_t vocab_uid,
+                                           std::string_view query_text,
+                                           const EntailOptions& options);
 
-  /// Inserts (or replaces) the plan under `key` as the most recent entry,
-  /// evicting least-recently-used entries while over capacity. Replacing
-  /// an existing key is not an eviction.
-  void Put(const PlanKey& key, std::shared_ptr<const PreparedQuery> plan);
+  /// Files `plan`, which Prepare() built from exactly these inputs, and
+  /// returns the plan to serve them with. If a held plan under the same
+  /// key has an equal cost-plan outcome, the route goes to that plan, it
+  /// is returned and `plan` is dropped (`*added` = false). Otherwise
+  /// `plan` becomes a new distinct entry, the most recent one, and
+  /// least-recently-used plans are evicted while over capacity.
+  std::shared_ptr<const PreparedQuery> Put(
+      uint64_t vocab_uid, std::string_view query_text,
+      const EntailOptions& options, std::shared_ptr<const PreparedQuery> plan,
+      bool* added = nullptr);
 
   /// Drops every entry (stats are kept; no evictions are counted).
   void Clear();
 
-  /// The cached keys, most recently used first (test hook for asserting
-  /// the LRU order).
-  std::vector<PlanKey> KeysByRecency() const;
+  /// The query text of each distinct plan, most recently used first (test
+  /// hook for asserting the LRU order).
+  std::vector<std::string> TextsByRecency() const;
 
   PlanCacheStats stats() const;
   size_t capacity() const { return capacity_; }
 
  private:
+  // The exact key; Ref is its non-owning lookup form, so a Get() never
+  // copies the query text.
+  struct Key {
+    uint64_t vocab_uid;
+    std::string text;
+    OrderSemantics semantics;
+    EngineKind engine;
+    bool want_countermodel;
+    int max_rewritten_disjuncts;
+  };
+  struct KeyRef {
+    uint64_t vocab_uid;
+    std::string_view text;
+    OrderSemantics semantics;
+    EngineKind engine;
+    bool want_countermodel;
+    int max_rewritten_disjuncts;
+
+    friend bool operator==(const KeyRef&, const KeyRef&) = default;
+  };
+  static KeyRef RefOf(const Key& key);
+  static KeyRef RefOf(uint64_t vocab_uid, std::string_view text,
+                      const EntailOptions& options);
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(const KeyRef& ref) const;
+    size_t operator()(const Key& key) const { return (*this)(RefOf(key)); }
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return Ref(a) == Ref(b);
+    }
+    static KeyRef Ref(const KeyRef& ref) { return ref; }
+    static KeyRef Ref(const Key& key) { return RefOf(key); }
+  };
+
+  // Most planner routes kept per key; the oldest route goes first. A
+  // fleet with up to this many distinct planner fingerprints keeps every
+  // route once warm.
+  static constexpr size_t kMaxRoutesPerKey = 256;
+
+  // Which planner a request carries: none (costing off), or one with
+  // this fingerprint.
+  struct Route {
+    bool planned;
+    uint64_t planner_fingerprint;
+
+    friend bool operator==(const Route&, const Route&) = default;
+  };
+  static Route RouteOf(const EntailOptions& options);
+
+  struct KeyEntry;
+  // One distinct plan; `owner` is the key it is filed under.
+  struct Held {
+    std::pair<const Key, KeyEntry>* owner;
+    std::shared_ptr<const PreparedQuery> plan;
+  };
+  using Lru = std::list<Held>;  // front = most recently used
+  struct KeyEntry {
+    std::vector<Lru::iterator> plans;                    // distinct plans
+    std::vector<std::pair<Route, Lru::iterator>> routes;  // oldest first
+  };
+
+  // Removes the least recently used plan and every route to it.
+  void EvictOldest();
+
   const size_t capacity_;
 
   mutable std::mutex mu_;
-  // Front = most recently used. The index maps keys to list positions.
-  std::list<std::pair<PlanKey, std::shared_ptr<const PreparedQuery>>> order_;
-  std::unordered_map<
-      PlanKey,
-      std::list<std::pair<PlanKey,
-                          std::shared_ptr<const PreparedQuery>>>::iterator,
-      PlanKeyHash>
-      index_;
+  Lru lru_;
+  std::unordered_map<Key, KeyEntry, KeyHash, KeyEq> index_;
   long long hits_ = 0;
   long long misses_ = 0;
   long long evictions_ = 0;

@@ -45,7 +45,8 @@ struct EvalRequest {
   /// the service default (ServiceOptions::use_cost_model). Advisory
   /// only — costing influences schedules and engine routes, never
   /// verdicts. The service injects the pinned version's planner into the
-  /// effective EntailOptions, so this IS part of the plan-cache key.
+  /// effective EntailOptions; the cache routes on that planner and never
+  /// serves a costing-off plan to a costing-on request or the reverse.
   int costing = -1;
   /// Attach the rendered plan + evaluation counters to the response.
   bool explain = false;

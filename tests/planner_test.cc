@@ -225,6 +225,8 @@ TEST(CostPlanPass, ExplainShowsCostPlanProvenance) {
             std::string::npos);
 }
 
+// FingerprintPlanInputs, a digest for tools, covers the planner too.
+// Plan caches do not key on it; see CostPlanOutcomeTest below.
 TEST(CostPlanPass, PlannerFingerprintRekeysThePlan) {
   VocabularyPtr vocab = MonadicVocab();
   Query query = ChainQuery(vocab);
@@ -250,6 +252,102 @@ TEST(CostPlanPass, PlannerFingerprintRekeysThePlan) {
   EXPECT_NE(fp_a, fp_b);
   // The planner object's identity does not matter, its fingerprint does.
   EXPECT_EQ(fp_b, FingerprintPlanInputs(query, with_b_again));
+}
+
+// Plan identity is what the cost-plan pass accepted, not which planner
+// proposed it: caches share a plan between planners whose outcomes match.
+TEST(CostPlanOutcomeTest, EqualAcceptedChoicesGiveEqualOutcomes) {
+  VocabularyPtr vocab = MonadicVocab();
+  Query query = FreeVarsQuery(vocab);
+  const PreparedQuery off = MustPrepare(vocab, query);
+  std::vector<int> swapped = DefaultSequence(off, 0);
+  ASSERT_EQ(swapped.size(), 2u);
+  std::swap(swapped[0], swapped[1]);
+  auto plan_with = [&](uint64_t fp, const std::vector<int>& seq, double est) {
+    auto stub = std::make_shared<StubPlanner>();
+    stub->fp = fp;
+    stub->choice.disjuncts = {DisjunctCost{seq, est}};
+    stub->choice.detail = "stub " + std::to_string(fp);
+    EntailOptions options;
+    options.planner = stub;
+    return MustPrepare(vocab, query, options);
+  };
+  const PreparedQuery a = plan_with(1, swapped, 5.0);
+  const PreparedQuery b = plan_with(2, swapped, 99.0);
+  const PreparedQuery c = plan_with(3, DefaultSequence(off, 0), 5.0);
+  const PreparedQuery d = plan_with(4, {}, -1.0);
+
+  EXPECT_EQ(a.cost_outcome(), b.cost_outcome());  // estimates differ
+  EXPECT_EQ(a.cost_outcome().schedules,
+            (std::vector<std::vector<int>>{swapped}));
+  EXPECT_NE(a.cost_outcome(), c.cost_outcome());
+  // Proposing the default schedule and proposing nothing accept the same.
+  EXPECT_EQ(c.cost_outcome(), d.cost_outcome());
+  // Costing on never equals costing off, even when nothing was accepted.
+  EXPECT_TRUE(c.cost_outcome().planned);
+  EXPECT_FALSE(off.cost_outcome().planned);
+  EXPECT_NE(c.cost_outcome(), off.cost_outcome());
+}
+
+TEST(CostPlanOutcomeTest, ReorderAndEngineRouteArePartOfTheOutcome) {
+  VocabularyPtr vocab = MonadicVocab();
+  Query query(vocab);
+  query.AddDisjunct().Exists("t").Atom("P", {"t"});
+  query.AddDisjunct().Exists("t").Atom("Q", {"t"});
+  auto plan_with = [&](std::vector<int> order, EngineKind engine) {
+    auto stub = std::make_shared<StubPlanner>();
+    stub->choice.disjuncts = {DisjunctCost{{}, 1.0}, DisjunctCost{{}, 2.0}};
+    stub->choice.disjunct_order = std::move(order);
+    stub->choice.engine = engine;
+    EntailOptions options;
+    options.planner = stub;
+    return MustPrepare(vocab, query, options);
+  };
+  const PreparedQuery plain = plan_with({}, EngineKind::kAuto);
+  const PreparedQuery reordered = plan_with({1, 0}, EngineKind::kAuto);
+  const PreparedQuery routed = plan_with({}, EngineKind::kBruteForce);
+  EXPECT_EQ(reordered.cost_outcome().disjunct_order,
+            (std::vector<int>{1, 0}));
+  EXPECT_EQ(routed.cost_outcome().engine, EngineKind::kBruteForce);
+  EXPECT_NE(plain.cost_outcome(), reordered.cost_outcome());
+  EXPECT_NE(plain.cost_outcome(), routed.cost_outcome());
+  EXPECT_NE(reordered.cost_outcome(), routed.cost_outcome());
+  // The identity permutation is not a reorder.
+  EXPECT_EQ(plan_with({0, 1}, EngineKind::kAuto).cost_outcome(),
+            plain.cost_outcome());
+}
+
+// A plan shared between planners explains with the estimates and
+// provenance of the planner it is explained for.
+TEST(CostPlanOutcomeTest, ExplainRecostsWithTheGivenPlanner) {
+  VocabularyPtr vocab = MonadicVocab();
+  Query query = ChainQuery(vocab);
+  auto first = std::make_shared<StubPlanner>();
+  first->choice.disjuncts = {DisjunctCost{{}, 5.0}};
+  first->choice.detail = "first oracle";
+  auto second = std::make_shared<StubPlanner>();
+  second->choice.disjuncts = {DisjunctCost{{}, 99.0}};
+  second->choice.detail = "second oracle";
+  EntailOptions options;
+  options.planner = first;
+  const PreparedQuery plan = MustPrepare(vocab, query, options);
+  const EntailResult result;
+
+  const std::string own = plan.Explain(result, nullptr);
+  EXPECT_EQ(own, plan.Explain(result));
+  EXPECT_NE(own.find("first oracle"), std::string::npos);
+  EXPECT_NE(own.find("est-cost=5"), std::string::npos);
+
+  const std::string recost = plan.Explain(result, second.get());
+  EXPECT_EQ(recost.find("first oracle"), std::string::npos) << recost;
+  EXPECT_NE(recost.find("second oracle"), std::string::npos) << recost;
+  EXPECT_NE(recost.find("est-cost=99"), std::string::npos) << recost;
+  EXPECT_NE(recost.find("est-assignments       99"), std::string::npos)
+      << recost;
+
+  // A costing-off plan has no estimates to recompute.
+  const PreparedQuery off = MustPrepare(vocab, query);
+  EXPECT_EQ(off.Explain(result, second.get()), off.Explain(result));
 }
 
 // --- the real cost model ---------------------------------------------------

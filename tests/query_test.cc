@@ -219,6 +219,48 @@ TEST(EliminateConstantsTest, MarkerConstruction) {
   EXPECT_EQ(norm.value().disjuncts[0].num_order_vars(), 2);
 }
 
+// Regression (run under ASan in CI): a proper atom carrying two constants.
+// The copied conjunct's atom vector is full, so the first constant's
+// marker atom reallocates it while the rewrite is still on the atom's
+// second argument; the rewrite must not write through a stale reference.
+TEST(ShiftConstantsTest, MarkerAtomsDoNotInvalidateTheAtomBeingRewritten) {
+  auto vocab = std::make_shared<Vocabulary>();
+  vocab->MustAddPredicate("R", {Sort::kOrder, Sort::kOrder});
+  Query query(vocab);
+  query.AddDisjunct().Exists("t").Atom("R", {"a", "t"}).Atom("R",
+                                                             {"t", "b"});
+  query.AddDisjunct().Atom("R", {"a", "b"});
+
+  Result<ConstantShift> shift = ShiftConstants(query);
+  ASSERT_TRUE(shift.ok()) << shift.status().ToString();
+  EXPECT_FALSE(shift.value().query.HasConstants());
+  ASSERT_EQ(shift.value().markers.size(), 2u);
+  EXPECT_EQ(shift.value().markers[0].constant, "a");
+  EXPECT_EQ(shift.value().markers[1].constant, "b");
+
+  auto render = [](const QueryProperAtom& atom) {
+    std::string out = atom.pred + "(";
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      out += (i > 0 ? "," : "") + atom.args[i].name;
+    }
+    return out + ")";
+  };
+  auto atoms_of = [&](size_t d) {
+    std::vector<std::string> out;
+    for (const QueryProperAtom& atom :
+         shift.value().query.disjuncts()[d].proper_atoms) {
+      out.push_back(render(atom));
+    }
+    return out;
+  };
+  EXPECT_EQ(atoms_of(0),
+            (std::vector<std::string>{"R(@v_a,t)", "R(t,@v_b)",
+                                      "@is_a(@v_a)", "@is_b(@v_b)"}));
+  EXPECT_EQ(atoms_of(1),
+            (std::vector<std::string>{"R(@v_a,@v_b)", "@is_a(@v_a)",
+                                      "@is_b(@v_b)"}));
+}
+
 TEST(NormQueryTest, MaxOrderVars) {
   auto vocab = MonadicVocab();
   Query query(vocab);

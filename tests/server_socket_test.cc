@@ -178,6 +178,55 @@ TEST(ServerSocketTest, SingleSessionServesTheProtocol) {
   EXPECT_EQ(fixture.server->stats().sessions_active, 0);
 }
 
+// Regression: plan-cache keys used to be a 64-bit mix of the query, the
+// options and the database's planner fingerprint, and on this session
+// (two near-identical databases) the mix cancelled the countermodel bit,
+// so the second EVAL was served the first one's plan and printed no
+// countermodel. The same key could hand a forced-engine request an
+// auto-route plan. Keys now compare every option exactly.
+TEST(ServerSocketTest, PlanCacheKeepsRequestOptionsApart) {
+  ServerFixture fixture("iodb_options.sock");
+  ASSERT_NE(fixture.server, nullptr);
+  std::unique_ptr<Client> client =
+      Client::ConnectUnix(fixture.server->unix_path());
+  ASSERT_NE(client, nullptr);
+
+  const char* loads[] = {
+      "LOAD first\na < b\nP0(a)\nP1(a)\nP2(a)\nP3(a)\nEND\n",
+      "LOAD bin5\nb0_0 < b0_1 < b0_2\nb1_0 < b1_1\nR(b0_0, b0_2)\n"
+      "R(b0_2, b0_1)\nR(b0_2, b1_1)\nR(b1_0, b0_0)\nP(b1_0)\nEND\n",
+      "LOAD bin6\nb0_0 < b0_1\nb1_0 < b1_1 < b1_2\nR(b1_2, b0_0)\n"
+      "R(b1_1, b1_0)\nR(b1_2, b1_0)\nR(b1_2, b1_2)\nP(b1_1)\nP(b1_1)\n"
+      "END\n",
+  };
+  std::string line;
+  for (const char* load : loads) {
+    ASSERT_TRUE(client->Send(load));
+    ASSERT_TRUE(client->ReadLine(&line));
+    ASSERT_EQ(line.rfind("OK", 0), 0u) << line;
+  }
+
+  EXPECT_EQ(client->RoundTrip("EVAL bin6 exists t0 t1: R(t0, t1) & P(t1)"),
+            "NOT ENTAILED  [engine: brute-force, cache: miss]");
+  EXPECT_EQ(client->RoundTrip(
+                "EVAL bin5 --countermodel exists t0 t1: R(t0, t1) & P(t1)"),
+            "NOT ENTAILED  [engine: brute-force, cache: miss]");
+  ASSERT_TRUE(client->ReadLine(&line));
+  EXPECT_EQ(line.rfind("countermodel: ", 0), 0u) << line;
+
+  // A forced engine is never served the auto route's plan.
+  EXPECT_EQ(client->RoundTrip("EVAL first exists t: P0(t) & P1(t)"),
+            "ENTAILED  [engine: bounded-width, cache: miss]");
+  EXPECT_EQ(client->RoundTrip(
+                "EVAL first --engine=paths exists t: P0(t) & P1(t)"),
+            "ENTAILED  [engine: path-decomposition, cache: miss]");
+  EXPECT_EQ(client->RoundTrip(
+                "EVAL first --engine=paths exists t: P0(t) & P1(t)"),
+            "ENTAILED  [engine: path-decomposition, cache: hit]");
+  ASSERT_TRUE(client->Send("QUIT\n"));
+  fixture.server->Stop();
+}
+
 TEST(ServerSocketTest, TcpLoopbackServes) {
   ServerFixture fixture("iodb_tcp.sock", 256, /*tcp_port=*/0);
   ASSERT_NE(fixture.server, nullptr);

@@ -49,12 +49,11 @@ BENCHMARK(BM_Fig1_TwoObserverModels)
     ->DenseRange(2, 6)
     ->Unit(benchmark::kMillisecond);
 
-// Entailment over the same enumeration: the incremental evaluation core
-// (in-place ModelBuilder + FactIndex + compiled matchers) against the
-// legacy rebuild-per-model reference path, on a rarely-satisfied query
-// that forces deep countermodel search across the whole model space.
-
-void RunTwoObserverEntail(benchmark::State& state, bool incremental) {
+// Entailment over the same enumeration through the incremental
+// evaluation core (in-place ModelBuilder + FactIndex + compiled
+// matchers), on a rarely-satisfied query that forces deep countermodel
+// search across the whole model space.
+void BM_Fig1_EntailIncremental(benchmark::State& state) {
   const int chain_length = static_cast<int>(state.range(0));
   Rng rng(17);
   auto vocab = std::make_shared<Vocabulary>();
@@ -72,29 +71,16 @@ void RunTwoObserverEntail(benchmark::State& state, bool incremental) {
   Query query = RandomSequentialQuery(3, 2, 0.9, 0.0, vocab, qrng);
   Result<NormQuery> norm_query = NormalizeQuery(query);
   IODB_CHECK(norm_query.ok());
-  BruteForceOptions options;
-  options.use_incremental = incremental;
   long long models = 0;
   for (auto _ : state) {
     BruteForceOutcome outcome =
-        EntailBruteForce(norm.value(), norm_query.value(), options);
+        EntailBruteForce(norm.value(), norm_query.value());
     models = outcome.models_enumerated;
     benchmark::DoNotOptimize(outcome.entailed);
   }
   state.counters["models"] = static_cast<double>(models);
 }
-
-void BM_Fig1_EntailIncremental(benchmark::State& state) {
-  RunTwoObserverEntail(state, /*incremental=*/true);
-}
 BENCHMARK(BM_Fig1_EntailIncremental)
-    ->DenseRange(3, 6)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Fig1_EntailRebuild(benchmark::State& state) {
-  RunTwoObserverEntail(state, /*incremental=*/false);
-}
-BENCHMARK(BM_Fig1_EntailRebuild)
     ->DenseRange(3, 6)
     ->Unit(benchmark::kMillisecond);
 

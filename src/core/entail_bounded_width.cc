@@ -32,8 +32,7 @@ struct Engine {
   ExecBudget* budget = nullptr;
   bool exhausted = false;
   long long states_visited = 0;
-  // Incremental paths: the database's shared reachability context.
-  // Null in oracle mode.
+  // The database's shared reachability context.
   std::shared_ptr<const EnumerationContext> ctx;
   ReachProbeStats rstats;
   // States (S, u) fully explored without finding a countermodel.
@@ -52,12 +51,10 @@ struct Engine {
   std::vector<int> undo_;  // deleted vertices, in deletion order
   int alive_count_ = 0;
 
-  Engine(const NormDb& d, const NormConjunct& q, bool want, bool incremental)
-      : db(d), query(q), want_countermodel(want) {
-    if (incremental) {
-      ctx = SharedEnumerationContext(db);
-      if (!ctx->has_masks) InitCounters();
-    }
+  Engine(const NormDb& d, const NormConjunct& q, bool want)
+      : db(d), query(q), want_countermodel(want),
+        ctx(SharedEnumerationContext(d)) {
+    if (!ctx->has_masks) InitCounters();
   }
 
   void InitCounters() {
@@ -69,22 +66,6 @@ struct Engine {
     alive_count_ = n;
   }
 
-  // The unsorted region is the up-set of the antichain S.
-  std::vector<bool> AliveFrom(const std::vector<int>& s) const {
-    std::vector<bool> alive(db.num_points(), false);
-    std::vector<int> queue(s);
-    for (int v : queue) alive[v] = true;
-    for (size_t head = 0; head < queue.size(); ++head) {
-      for (const Digraph::Arc& arc : db.dag.out(queue[head])) {
-        if (!alive[arc.vertex]) {
-          alive[arc.vertex] = true;
-          queue.push_back(arc.vertex);
-        }
-      }
-    }
-    return alive;
-  }
-
   static std::vector<int> Key(const std::vector<int>& s, int u) {
     std::vector<int> key(s);
     key.push_back(-1);
@@ -92,10 +73,9 @@ struct Engine {
     return key;
   }
 
-  // Entry point: dispatches the initial state (whole region alive) to
-  // the active path. `initial` is nonempty (checked by the caller).
-  bool FindCounterTop(const std::vector<int>& initial, int u0) {
-    if (ctx == nullptr) return FindCounter(initial, u0);
+  // Entry point: runs the initial state (whole region alive) on the
+  // path the database size selects.
+  bool FindCounterTop(int u0) {
     if (ctx->has_masks) {
       const int n = db.num_points();
       uint64_t all = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
@@ -105,85 +85,8 @@ struct Engine {
   }
 
   // ---------------------------------------------------------------------
-  // Oracle path: recompute the region and its minimal/minor vertices from
-  // the dag at every state. Kept verbatim as the differential reference.
-  // ---------------------------------------------------------------------
-
-  // True iff a sort of the region S falsifying the path suffix rooted at
-  // query vertex u exists (i.e. a countermodel for this branch).
-  bool FindCounter(const std::vector<int>& s, int u) {
-    if (exhausted) return false;
-    IODB_CHECK(!s.empty());
-    std::vector<int> key = Key(s, u);
-    if (failed.contains(key)) return false;
-    if (budget != nullptr && !budget->Charge()) {
-      exhausted = true;
-      return false;
-    }
-    ++states_visited;
-
-    std::vector<bool> alive = AliveFrom(s);
-
-    // Edge (a): some minimal vertex fails the label of u.
-    int failing = -1;
-    for (int v : s) {
-      if (!query.labels[u].IsSubsetOf(db.labels[v])) {
-        failing = v;
-        break;
-      }
-    }
-    if (failing != -1) {
-      alive[failing] = false;
-      std::vector<int> next = MinimalVertices(db.dag, alive);
-      bool found = next.empty() ? true : FindCounter(next, u);
-      if (found) {
-        if (want_countermodel) groups_reversed.push_back({failing});
-        return true;
-      }
-      if (exhausted) return false;
-      failed.insert(std::move(key));
-      return false;
-    }
-
-    // All minimal vertices satisfy Φ[u]: the symbol at u is consumed.
-    // Lazily computed minor deletion shared by all "<" successors.
-    std::vector<int> after_lt;  // minimals after deleting minors
-    std::vector<int> minor_group;
-    bool lt_computed = false;
-    for (const Digraph::Arc& arc : query.dag.out(u)) {
-      if (arc.rel == OrderRel::kLe) {
-        if (FindCounter(s, arc.vertex)) return true;
-      } else {
-        if (!lt_computed) {
-          lt_computed = true;
-          std::vector<bool> minor = MinorVertices(db.dag, alive);
-          std::vector<bool> next_alive = alive;
-          for (int v = 0; v < db.num_points(); ++v) {
-            if (alive[v] && minor[v]) {
-              minor_group.push_back(v);
-              next_alive[v] = false;
-            }
-          }
-          after_lt = MinimalVertices(db.dag, next_alive);
-        }
-        bool found = after_lt.empty() ? true : FindCounter(after_lt, arc.vertex);
-        if (found) {
-          if (want_countermodel) groups_reversed.push_back(minor_group);
-          return true;
-        }
-      }
-    }
-    // No successor branch yields a countermodel: if u is terminal the path
-    // is fully matched; either way this state fails.
-    if (exhausted) return false;
-    failed.insert(std::move(key));
-    return false;
-  }
-
-  // ---------------------------------------------------------------------
   // Mask fast path (<= 64 points): the region is one word; minimal and
-  // minor tests are single-word probes against the context masks. Same
-  // states, same exploration order as the oracle path.
+  // minor tests are single-word probes against the context masks.
   // ---------------------------------------------------------------------
 
   bool FindCounterMask(uint64_t alive, int u) {
@@ -382,7 +285,6 @@ BoundedWidthOutcome EntailBoundedWidth(const NormDb& db,
                                        const NormConjunct& raw_conjunct,
                                        bool want_countermodel,
                                        bool already_reduced,
-                                       bool use_incremental,
                                        ExecBudget* budget) {
   IODB_CHECK(raw_conjunct.IsMonadicOrderOnly());
   IODB_CHECK(db.inequalities.empty());
@@ -398,9 +300,7 @@ BoundedWidthOutcome EntailBoundedWidth(const NormDb& db,
   BoundedWidthOutcome outcome;
   if (conjunct.num_order_vars() == 0) return outcome;  // empty: trivially true
 
-  std::vector<bool> all_alive(db.num_points(), true);
-  std::vector<int> initial = MinimalVertices(db.dag, all_alive);
-  if (initial.empty()) {
+  if (db.num_points() == 0) {
     // Empty database: the single (empty) minimal model falsifies any
     // conjunct with at least one order variable.
     outcome.entailed = false;
@@ -408,12 +308,12 @@ BoundedWidthOutcome EntailBoundedWidth(const NormDb& db,
     return outcome;
   }
 
-  Engine engine(db, conjunct, want_countermodel, use_incremental);
+  Engine engine(db, conjunct, want_countermodel);
   engine.budget = budget;
   std::vector<bool> query_alive(conjunct.num_order_vars(), true);
   for (int u0 : MinimalVertices(conjunct.dag, query_alive)) {
     if (engine.exhausted) break;
-    if (engine.FindCounterTop(initial, u0)) {
+    if (engine.FindCounterTop(u0)) {
       outcome.entailed = false;
       if (want_countermodel) {
         std::vector<std::vector<int>> groups(engine.groups_reversed.rbegin(),
@@ -430,8 +330,7 @@ BoundedWidthOutcome EntailBoundedWidth(const NormDb& db,
   outcome.exhausted = engine.exhausted && outcome.entailed;
   outcome.states_visited = engine.states_visited;
   outcome.check_stats.AddReachProbes(engine.rstats);
-  outcome.check_stats.index_rebuilds =
-      engine.ctx != nullptr ? engine.ctx->index_rebuilds() : 0;
+  outcome.check_stats.index_rebuilds = engine.ctx->index_rebuilds();
   return outcome;
 }
 

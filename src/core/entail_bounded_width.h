@@ -43,8 +43,7 @@ struct BoundedWidthOutcome {
   /// query, reconstructed from the SEQ countermodel construction along
   /// the successful reachability path.
   std::optional<FiniteModel> countermodel;
-  /// Reachability-probe counters of the incremental path (zeroes under
-  /// the oracle path, which predates the counting seam).
+  /// Reachability-probe counters of the search.
   ModelCheckStats check_stats;
 };
 
@@ -52,20 +51,16 @@ struct BoundedWidthOutcome {
 /// database without inequality constraints. `already_reduced` skips the
 /// internal transitive reduction when the caller passes a conjunct that
 /// is already reduced (PreparedQuery memoizes the reduction at Prepare()
-/// time so repeated evaluations don't pay it). `use_incremental` routes
-/// minor/minimal tests through the database's shared reachability context
-/// (single-word masks for at most 64 points, incrementally maintained
-/// in-degree counters otherwise) instead of recomputing them per state
-/// from the dag; false runs the original path, kept as the differential
-/// oracle. Both paths visit the same states in the same order. `budget`,
-/// when non-null, is charged once per search state; on a trip the
-/// outcome reports `exhausted` (partially explored states are never
-/// memoized as failed, so a re-run starts sound).
+/// time so repeated evaluations don't pay it). Minor/minimal tests go
+/// through the database's shared reachability context: single-word masks
+/// for at most 64 points, incrementally maintained in-degree counters
+/// otherwise. `budget`, when non-null, is charged once per search state;
+/// on a trip the outcome reports `exhausted` (partially explored states
+/// are never memoized as failed, so a re-run starts sound).
 BoundedWidthOutcome EntailBoundedWidth(const NormDb& db,
                                        const NormConjunct& conjunct,
                                        bool want_countermodel = false,
                                        bool already_reduced = false,
-                                       bool use_incremental = true,
                                        ExecBudget* budget = nullptr);
 
 }  // namespace iodb

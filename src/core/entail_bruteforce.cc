@@ -11,60 +11,6 @@
 namespace iodb {
 namespace {
 
-// Legacy reference path: rebuild the prefix model from scratch per group
-// append and run the generic checker. Kept verbatim as the oracle for the
-// differential test suite.
-BruteForceOutcome EntailRebuildPerModel(const NormDb& db,
-                                        const NormQuery& query,
-                                        const BruteForceOptions& options) {
-  BruteForceOutcome outcome;
-  ModelVisitor visitor;
-  std::vector<std::vector<int>> prefix;
-  visitor.on_group = [&](int depth, const std::vector<int>& group) {
-    if (options.budget != nullptr && !options.budget->Charge()) {
-      outcome.exhausted = true;
-      return false;
-    }
-    if (options.prune_satisfied_prefix) {
-      prefix.resize(depth);
-      prefix.push_back(group);
-      FiniteModel model = BuildPrefixModel(db, prefix);
-      if (Satisfies(model, query, &outcome.check_stats)) {
-        ++outcome.prefixes_pruned;
-        return false;  // no countermodel below a satisfied prefix
-      }
-    }
-    return true;
-  };
-  visitor.on_model = [&](const std::vector<std::vector<int>>& groups) {
-    if (options.budget != nullptr && !options.budget->Charge()) {
-      outcome.exhausted = true;
-      return false;
-    }
-    ++outcome.models_enumerated;
-    FiniteModel model = BuildMinimalModel(db, groups);
-    // With pruning on, every level of this sort was already checked and
-    // found unsatisfied — the complete model is a countermodel. Without
-    // pruning, check now.
-    bool satisfied = options.prune_satisfied_prefix
-                         ? false
-                         : Satisfies(model, query, &outcome.check_stats);
-    if (!satisfied) {
-      outcome.entailed = false;
-      outcome.countermodel = std::move(model);
-      return false;
-    }
-    if (options.max_models >= 0 &&
-        outcome.models_enumerated >= options.max_models) {
-      outcome.limit_hit = true;
-      return false;
-    }
-    return true;
-  };
-  ForEachMinimalModel(db, visitor);
-  return outcome;
-}
-
 // One incremental enumeration run: serial, optionally restricted to the
 // subtree below `prefix` (empty = whole forest), optionally aborting when
 // `aborted` fires (cross-worker early exit). `context`, when given, is
@@ -242,7 +188,6 @@ BruteForceOutcome EntailBruteForce(const NormDb& db, const NormQuery& query,
   if (options.compiled != nullptr) {
     IODB_CHECK_EQ(options.compiled->size(), query.disjuncts.size());
   }
-  if (!options.use_incremental) return EntailRebuildPerModel(db, query, options);
   // A model budget is a global counter; sharding would make it racy.
   if (options.num_threads > 1 && options.max_models < 0) {
     return EntailParallel(db, query, options);

@@ -11,13 +11,10 @@
 // completions, so a branch whose prefix model already satisfies Φ cannot
 // produce a countermodel and is cut.
 //
-// Evaluation is incremental by default: a ModelBuilder extends/retracts
-// the prefix model in place (one group per enumeration edge) with a
-// FactIndex maintained alongside, and the query runs through compiled
-// matchers (model_matcher.h) so no per-model setup survives. The legacy
-// rebuild-per-model path (BuildPrefixModel + the generic checker) is kept
-// behind `use_incremental = false` as the reference implementation for
-// the differential test suite.
+// Evaluation is incremental: a ModelBuilder extends/retracts the prefix
+// model in place (one group per enumeration edge) with a FactIndex
+// maintained alongside, and the query runs through compiled matchers
+// (model_matcher.h) so no per-model setup survives.
 //
 // With `num_threads > 1` the enumeration forest is sharded at the root:
 // each first-group subtree is an independent enumeration
@@ -54,12 +51,8 @@ struct BruteForceOptions {
   /// If the limit is hit before a countermodel is found the outcome is
   /// reported as entailed with `limit_hit` set — treat it as unknown.
   long long max_models = -1;
-  /// Evaluate through the incremental ModelBuilder/FactIndex core
-  /// (default). False selects the legacy rebuild-per-model path — slower,
-  /// kept as the reference for differential testing.
-  bool use_incremental = true;
   /// Shard independent root subtrees of the enumeration across this many
-  /// workers (incremental path only; a max_models budget forces serial).
+  /// workers (a max_models budget forces serial).
   int num_threads = 1;
   /// Optional plan-memoized schedules, parallel to query.disjuncts
   /// (PreparedQuery passes these so the topological variable orders are
@@ -84,7 +77,8 @@ struct BruteForceOutcome {
   bool exhausted = false;
   long long models_enumerated = 0;
   long long prefixes_pruned = 0;
-  /// Incremental-core work counters (0 on the legacy path).
+  /// Incremental-core work counters: group appends/retracts of the
+  /// in-place model builder.
   long long groups_pushed = 0;
   long long groups_popped = 0;
   /// Model-check counters summed over every prefix/model check.

@@ -28,9 +28,8 @@ struct Engine {
   const NormQuery& query;
   const DisjunctiveOptions& options;
   DisjunctiveOutcome outcome;
-  // Oracle path: per-call closure. Incremental path: the database's
-  // shared context (interval index + masks when num_points <= 64).
-  std::optional<Reachability> reach;
+  // The database's shared context (interval index, or word masks when
+  // num_points <= 64).
   std::shared_ptr<const EnumerationContext> ctx;
   bool fast = false;  // mask fast path active
   ReachProbeStats rstats;
@@ -57,30 +56,17 @@ struct Engine {
   static constexpr int kMaxPackedPosition = 1 << 12;
 
   Engine(const NormDb& d, const NormQuery& q, const DisjunctiveOptions& o)
-      : db(d), query(q), options(o) {
-    if (options.use_incremental) {
-      ctx = SharedEnumerationContext(db);
-      fast = ctx->has_masks && query.disjuncts.size() <= kMaxPackedDisjuncts;
-      for (const NormConjunct& conjunct : query.disjuncts) {
-        if (conjunct.num_order_vars() >= kMaxPackedPosition) fast = false;
-      }
-    } else {
-      reach.emplace(ComputeReachability(d.dag));
+      : db(d), query(q), options(o), ctx(SharedEnumerationContext(d)) {
+    fast = ctx->has_masks && query.disjuncts.size() <= kMaxPackedDisjuncts;
+    for (const NormConjunct& conjunct : query.disjuncts) {
+      if (conjunct.num_order_vars() >= kMaxPackedPosition) fast = false;
     }
   }
 
-  bool Comparable(int u, int v) {
-    if (reach.has_value()) {
-      return reach->reach.Get(u, v) || reach->reach.Get(v, u);
-    }
-    return ctx->Comparable(u, v, &rstats);
-  }
+  bool Comparable(int u, int v) { return ctx->Comparable(u, v, &rstats); }
 
   // Weak order-reachability m -> a (true when m == a).
-  bool Reaches(int m, int a) {
-    if (reach.has_value()) return reach->reach.Get(m, a);
-    return ctx->Reaches(m, a, &rstats);
-  }
+  bool Reaches(int m, int a) { return ctx->Reaches(m, a, &rstats); }
 
   std::vector<bool> AliveFrom(const std::vector<int>& s) const {
     std::vector<bool> alive(db.num_points(), false);
@@ -177,7 +163,7 @@ struct Engine {
   }
 
   // ---------------------------------------------------------------------
-  // General path (oracle closure, or interval probes for > 64 points).
+  // General path (> 64 points or > 5 disjuncts): context probes.
   // ---------------------------------------------------------------------
 
   // Search for a completion of region S falsifying all disjunct paths.
@@ -471,8 +457,7 @@ DisjunctiveOutcome EntailDisjunctive(const NormDb& db,
   product(0);
   engine.outcome.exhausted = engine.exhausted;
   engine.outcome.check_stats.AddReachProbes(engine.rstats);
-  engine.outcome.check_stats.index_rebuilds =
-      engine.ctx != nullptr ? engine.ctx->index_rebuilds() : 0;
+  engine.outcome.check_stats.index_rebuilds = engine.ctx->index_rebuilds();
   return engine.outcome;
 }
 

@@ -46,12 +46,6 @@ struct DisjunctiveOptions {
   /// The query's disjuncts are already transitively reduced; skip the
   /// per-call reduction (PreparedQuery memoizes it at Prepare() time).
   bool already_reduced = false;
-  /// Route order tests through the database's shared reachability context
-  /// (single-word mask probes for databases of at most 64 points, interval
-  /// probes otherwise). False runs the original per-call closure path,
-  /// kept as the differential oracle. Both paths visit the same states and
-  /// report countermodels in the same sequence.
-  bool use_incremental = true;
   /// Optional execution budget, charged once per search state and once
   /// per group candidate tried. Null (the default) is the zero-overhead
   /// ungoverned path. On a trip the outcome reports `exhausted`;
@@ -70,8 +64,9 @@ struct DisjunctiveOutcome {
   long long states_visited = 0;
   long long countermodels_reported = 0;
   std::optional<FiniteModel> countermodel;
-  /// Reachability-probe counters of the incremental path (zeroes under
-  /// the oracle path, which predates the counting seam).
+  /// Reachability-probe counters of the search. Order tests go through
+  /// the database's shared reachability context: single-word mask probes
+  /// for databases of at most 64 points, interval probes otherwise.
   ModelCheckStats check_stats;
 };
 

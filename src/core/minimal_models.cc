@@ -35,15 +35,15 @@ struct GroupStack {
   }
 };
 
-// Incremental enumerator, general form (any point count, index or
-// closure mode). The removed set is always a down-set of the dag (groups
-// are down-closures of minor antichains), so for alive u, v a strict
-// path u -> v in the full dag never passes through a removed vertex;
-// hence "v is minor within the alive subgraph" is exactly
-// "strict_in_[v] == 0" where strict_in_[v] counts the alive u with a
-// strict path u -> v. Push/pop of a group maintains the counts via the
-// precomputed strict-reachability adjacency instead of re-deriving minor
-// vertices from scratch per node.
+// Incremental enumerator, general form (any point count; the mask
+// enumerator below serves the <= 64-point contexts). The removed set is
+// always a down-set of the dag (groups are down-closures of minor
+// antichains), so for alive u, v a strict path u -> v in the full dag
+// never passes through a removed vertex; hence "v is minor within the
+// alive subgraph" is exactly "strict_in_[v] == 0" where strict_in_[v]
+// counts the alive u with a strict path u -> v. Push/pop of a group
+// maintains the counts via the precomputed strict-reachability adjacency
+// instead of re-deriving minor vertices from scratch per node.
 struct Enumerator {
   const NormDb& db;
   const ModelVisitor& visitor;
@@ -345,32 +345,11 @@ bool RunEnumeration(const NormDb& db, const EnumerationContext& context,
 
 }  // namespace
 
-EnumerationContext::EnumerationContext(const NormDb& db, Mode mode)
-    : mode(mode), num_points(db.num_points()) {
+EnumerationContext::EnumerationContext(const NormDb& db)
+    : num_points(db.num_points()) {
   const int n = num_points;
   strict_in_all_alive.assign(n, 0);
   strict_out_off.assign(n + 1, 0);
-  if (mode == Mode::kClosure) {
-    closure.emplace(ComputeReachability(db.dag));
-    for (int u = 0; u < n; ++u) {
-      int degree = 0;
-      for (int v = 0; v < n; ++v) {
-        degree += closure->strict.Get(u, v) ? 1 : 0;
-      }
-      strict_out_off[u + 1] = strict_out_off[u] + degree;
-    }
-    strict_out.resize(strict_out_off[n]);
-    for (int u = 0, k = 0; u < n; ++u) {
-      for (int v = 0; v < n; ++v) {
-        if (closure->strict.Get(u, v)) {
-          strict_out[k++] = v;
-          ++strict_in_all_alive[v];
-        }
-      }
-    }
-    return;
-  }
-
   // Mask-width dags: the dense closure is cheaper to build than the
   // interval-list index (a fresh tiny database costs ~1 closure vs ~2-10
   // index builds — and containment reductions evaluate thousands of
@@ -378,8 +357,7 @@ EnumerationContext::EnumerationContext(const NormDb& db, Mode mode)
   // The index takes over where its near-linear build and incremental
   // maintenance actually pay.
   if (n <= 64) {
-    closure.emplace(ComputeReachability(db.dag));
-    DeriveFromClosure();
+    DeriveFromClosure(ComputeReachability(db.dag));
     return;
   }
   index = std::make_shared<ReachabilityIndex>(db.dag);
@@ -388,7 +366,7 @@ EnumerationContext::EnumerationContext(const NormDb& db, Mode mode)
 
 EnumerationContext::EnumerationContext(
     const NormDb& db, std::shared_ptr<const ReachabilityIndex> grown)
-    : mode(Mode::kIndex), num_points(db.num_points()) {
+    : num_points(db.num_points()) {
   IODB_CHECK_EQ(grown->num_vertices(), num_points);
   const int n = num_points;
   strict_in_all_alive.assign(n, 0);
@@ -429,7 +407,7 @@ void EnumerationContext::DeriveFromIndex() {
   }
 }
 
-void EnumerationContext::DeriveFromClosure() {
+void EnumerationContext::DeriveFromClosure(const Reachability& closure) {
   const int n = num_points;
   has_masks = true;
   desc_mask.assign(n, 0);
@@ -440,11 +418,11 @@ void EnumerationContext::DeriveFromClosure() {
     uint64_t down = 0;
     int degree = 0;
     for (int v = 0; v < n; ++v) {
-      if (closure->reach.Get(u, v)) {  // diagonal set: self included
+      if (closure.reach.Get(u, v)) {  // diagonal set: self included
         down |= uint64_t{1} << v;
         anc_mask[v] |= u_bit;
       }
-      if (closure->strict.Get(u, v)) {
+      if (closure.strict.Get(u, v)) {
         ++degree;
         strict_anc_mask[v] |= u_bit;
       }
@@ -455,7 +433,7 @@ void EnumerationContext::DeriveFromClosure() {
   strict_out.resize(strict_out_off[n]);
   for (int u = 0, k = 0; u < n; ++u) {
     for (int v = 0; v < n; ++v) {
-      if (closure->strict.Get(u, v)) {
+      if (closure.strict.Get(u, v)) {
         strict_out[k++] = v;
         ++strict_in_all_alive[v];
       }
@@ -471,13 +449,6 @@ bool EnumerationContext::Reaches(int u, int v, ReachProbeStats* stats) const {
     }
     return (desc_mask[u] >> v) & 1;
   }
-  if (mode == Mode::kClosure) {
-    if (stats != nullptr) {
-      ++stats->probes;
-      ++stats->fast_hits;
-    }
-    return closure->reach.Get(u, v);
-  }
   return index->Reaches(u, v, stats);
 }
 
@@ -489,13 +460,6 @@ bool EnumerationContext::Comparable(int u, int v,
       ++stats->fast_hits;
     }
     return (((desc_mask[u] >> v) | (desc_mask[v] >> u)) & 1) != 0;
-  }
-  if (mode == Mode::kClosure) {
-    if (stats != nullptr) {
-      ++stats->probes;
-      ++stats->fast_hits;
-    }
-    return closure->reach.Get(u, v) || closure->reach.Get(v, u);
   }
   return index->Comparable(u, v, stats);
 }
@@ -512,10 +476,7 @@ std::shared_ptr<const EnumerationContext> TryExtendPreviousContext(
     const NormDb& db) {
   auto prev = std::static_pointer_cast<const EnumerationContext>(
       db.prev_order_context);
-  if (prev->mode != EnumerationContext::Mode::kIndex ||
-      prev->index == nullptr) {
-    return nullptr;
-  }
+  if (prev->index == nullptr) return nullptr;
   const std::vector<LabeledEdge>& log = prev->index->edge_log();
   const std::vector<LabeledEdge>& edges = db.dag.edges();
   if (db.num_points() < prev->index->num_vertices() ||

@@ -723,7 +723,7 @@ Result<EntailResult> PreparedQuery::EvaluateWith(const Database& db,
         // witness search is part of the same request).
         BoundedWidthOutcome witness = EntailBoundedWidth(
             ndb, disjuncts_[plan_index[0]].reduced_transitive, true,
-            /*already_reduced=*/true, /*use_incremental=*/true, budget);
+            /*already_reduced=*/true, budget);
         if (witness.exhausted) {
           return ExhaustedStatus(budget, "engine path-decomposition", result);
         }
@@ -735,8 +735,7 @@ Result<EntailResult> PreparedQuery::EvaluateWith(const Database& db,
     case EngineKind::kBoundedWidth: {
       BoundedWidthOutcome outcome = EntailBoundedWidth(
           ndb, disjuncts_[plan_index[0]].reduced_transitive,
-          options_.want_countermodel, /*already_reduced=*/true,
-          /*use_incremental=*/true, budget);
+          options_.want_countermodel, /*already_reduced=*/true, budget);
       result.entailed = outcome.entailed;
       result.states_visited = outcome.states_visited;
       result.check_stats = outcome.check_stats;

@@ -133,10 +133,6 @@ EvaluationService::DatabasePtr EvaluationService::Snapshot(
   return it == databases_.end() ? nullptr : it->second;
 }
 
-const Database* EvaluationService::database(const std::string& name) const {
-  return Snapshot(name).get();
-}
-
 Result<DbInfo> EvaluationService::Mutate(
     const std::string& name, const std::function<Status(Database*)>& mutate,
     const std::function<Status(const Database&)>& before_publish) {

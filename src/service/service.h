@@ -138,11 +138,6 @@ class EvaluationService {
   /// returned version is immutable and survives later publishes.
   DatabasePtr Snapshot(const std::string& name) const;
 
-  /// Borrowed pointer to the currently published version, or nullptr.
-  /// Valid only until the next publish of `name` — single-threaded
-  /// convenience for tools and tests; concurrent callers use Snapshot().
-  const Database* database(const std::string& name) const;
-
   /// The single-writer mutation seam. Forks the published version
   /// (Database::ForkNextVersion — the fork keeps the uid, so the
   /// revision line and every cross-revision cache continue), applies

@@ -7,19 +7,22 @@
 // every applicable path:
 //
 //   * Entails() with engine=auto (the facade),
-//   * the brute-force engine, incremental and legacy-rebuild cores,
+//   * the brute-force engine,
 //   * the bounded-width and path-decomposition engines (conjunctive
 //     monadic instances),
 //   * the disjunctive-search engine,
 //   * the EvaluationService single-request path (which also round-trips
 //     the query through Print -> Parse and the plan cache),
 //   * the EvaluationService batch path (requests chunked through
-//     EvalBatch onto the worker pool), and
+//     EvalBatch onto the worker pool),
 //   * the cost-based planner sweep: costing off (the engine runs above),
 //     costing on over the database's real statistics, and costing on
 //     over randomly perturbed statistics — the planner is advisory by
 //     contract, so even garbage estimates may only change schedules,
-//     never verdicts.
+//     never verdicts, and
+//   * on finite-semantics instances, the reference decider of
+//     tests/oracle/oracle.h, which reads only the surface database and
+//     query and shares no code with the engines.
 //
 // All verdicts must be identical. A mismatch aborts the suite and prints
 // a self-contained repro: the seed plus the database and query rendered
@@ -39,8 +42,8 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/entail_bruteforce.h"
 #include "core/printer.h"
+#include "oracle/oracle.h"
 #include "service/service.h"
 #include "stats/cost_model.h"
 #include "stats/stats.h"
@@ -242,20 +245,20 @@ std::optional<std::vector<Verdict>> EngineVerdicts(const Instance& instance,
     }
   }
 
-  // The legacy rebuild-per-model brute-force core, run directly on the
-  // normalized pair (it implements the finite semantics only).
+  // The reference decider (tests/oracle/oracle.h): built from the
+  // definitions on the surface pair, sharing no code with the engines. It
+  // decides the finite semantics only.
   if (instance.semantics == OrderSemantics::kFinite) {
-    Result<NormDb> ndb = Normalize(instance.db);
-    Result<NormQuery> nquery = NormalizeQuery(instance.query);
-    if (!ndb.ok() || !nquery.ok()) {
-      ADD_FAILURE() << "normalization failed on a generated instance";
+    Result<oracle::Verdict> verdict =
+        oracle::Decide(instance.db, instance.query);
+    if (!verdict.ok() || verdict.value() == oracle::Verdict::kInconsistent) {
+      ADD_FAILURE() << "oracle failed: "
+                    << (verdict.ok() ? "inconsistent database"
+                                     : verdict.status().ToString());
       return std::nullopt;
     }
-    BruteForceOptions rebuild;
-    rebuild.use_incremental = false;
     verdicts.push_back(
-        {"brute-force-rebuild",
-         EntailBruteForce(ndb.value(), nquery.value(), rebuild).entailed});
+        {"oracle", verdict.value() == oracle::Verdict::kEntailed});
   }
   return verdicts;
 }
@@ -334,7 +337,7 @@ TEST(ConformanceFuzzTest, AllEnginesAndServiceAgree) {
 
     // Governance conformance, small budget: a tiny random step budget
     // must never corrupt a verdict. Either the run completes and matches
-    // the oracle, or it fails with the typed exhaustion status — a
+    // the agreed verdict, or it fails with the typed exhaustion status — a
     // definite yes/no from an exhausted run would be a soundness bug.
     if (i % 4 == 0) {
       Rng gov_rng(seed ^ 0x9E3779B97F4A7C15ULL);
@@ -346,7 +349,7 @@ TEST(ConformanceFuzzTest, AllEnginesAndServiceAgree) {
           Entails(instance.db, instance.query, gov_options, &small);
       if (governed.ok()) {
         ASSERT_EQ(governed.value().entailed, expected)
-            << "governed non-exhausted run disagrees with the oracle\n"
+            << "governed non-exhausted run disagrees with the verdict\n"
             << Repro(seed, instance);
       } else {
         ASSERT_TRUE(governed.status().code() ==

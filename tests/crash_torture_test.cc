@@ -258,7 +258,8 @@ TEST_F(CrashTortureTest, RecoversToConsistentPrefixWithIdentityIntact) {
         storage::DurableRegistry::Open(dir, {});
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
 
-    const Database* db = reopened.value()->service().database(kDbName);
+    EvaluationService::DatabasePtr db =
+        reopened.value()->service().Snapshot(kDbName);
     if (db == nullptr) {
       // The crash landed before the initial LOAD became durable; an
       // empty registry is the k=0 prefix.
@@ -297,7 +298,8 @@ TEST_F(CrashTortureTest, RecoversToConsistentPrefixWithIdentityIntact) {
     Result<std::unique_ptr<storage::DurableRegistry>> again =
         storage::DurableRegistry::Open(dir, {});
     ASSERT_TRUE(again.ok()) << again.status().ToString();
-    const Database* db2 = again.value()->service().database(kDbName);
+    EvaluationService::DatabasePtr db2 =
+        again.value()->service().Snapshot(kDbName);
     ASSERT_NE(db2, nullptr);
     EXPECT_EQ(db2->revision(), revision);
     EXPECT_EQ(CanonicalText(*db2), text);

@@ -64,7 +64,8 @@ TEST(DurableRegistry, LoadPersistsAndReopenRestoresIdentity) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened.value()->service().database_names(),
             std::vector<std::string>{"base"});
-  const Database* db = reopened.value()->service().database("base");
+  EvaluationService::DatabasePtr db =
+      reopened.value()->service().Snapshot("base");
   ASSERT_NE(db, nullptr);
   EXPECT_EQ(db->uid(), uid);
   EXPECT_EQ(db->revision(), revision);
@@ -102,7 +103,8 @@ TEST(DurableRegistry, AppendTextIsWalLoggedAndReplayed) {
 
   Result<std::unique_ptr<DurableRegistry>> reopened = OpenStore(store);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  const Database* db = reopened.value()->service().database("base");
+  EvaluationService::DatabasePtr db =
+      reopened.value()->service().Snapshot("base");
   ASSERT_NE(db, nullptr);
   EXPECT_EQ(db->SizeAtoms(), live_atoms);
   EXPECT_EQ(db->revision(), live_revision);
@@ -136,7 +138,8 @@ TEST(DurableRegistry, CompactFoldsWalAndPreservesState) {
   }
   Result<std::unique_ptr<DurableRegistry>> reopened = OpenStore(store);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  const Database* db = reopened.value()->service().database("base");
+  EvaluationService::DatabasePtr db =
+      reopened.value()->service().Snapshot("base");
   ASSERT_NE(db, nullptr);
   EXPECT_EQ(db->SizeAtoms(), live_atoms);
   EXPECT_EQ(db->revision(), live_revision);
@@ -157,8 +160,8 @@ TEST(DurableRegistry, MultipleDatabasesShareOneVocabulary) {
   EXPECT_EQ(reopened.value()->service().database_names(),
             (std::vector<std::string>{"alpha", "beta"}));
   // One shared vocabulary: predicate ids comparable across databases.
-  EXPECT_EQ(reopened.value()->service().database("alpha")->vocab().get(),
-            reopened.value()->service().database("beta")->vocab().get());
+  EXPECT_EQ(reopened.value()->service().Snapshot("alpha")->vocab().get(),
+            reopened.value()->service().Snapshot("beta")->vocab().get());
   // A plan compiled once serves both (smoke: both answer).
   EvalRequest request;
   request.db = "alpha";
@@ -182,7 +185,8 @@ TEST(DurableRegistry, LoadReplacesAndRestartSeesTheReplacement) {
   }
   Result<std::unique_ptr<DurableRegistry>> reopened = OpenStore(store);
   ASSERT_TRUE(reopened.ok());
-  const Database* db = reopened.value()->service().database("base");
+  EvaluationService::DatabasePtr db =
+      reopened.value()->service().Snapshot("base");
   ASSERT_NE(db, nullptr);
   EXPECT_EQ(db->SizeAtoms(), 1);
   EXPECT_EQ(db->uid(), second_uid);
@@ -205,7 +209,7 @@ TEST(DurableRegistry, HostileDatabaseNamesAreEncodedSafely) {
   }
   Result<std::unique_ptr<DurableRegistry>> reopened = OpenStore(store);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_NE(reopened.value()->service().database(hostile), nullptr);
+  EXPECT_NE(reopened.value()->service().Snapshot(hostile), nullptr);
 }
 
 TEST(DurableRegistry, FileNameEncodingRoundTrips) {
@@ -254,7 +258,7 @@ TEST(DurableRegistry, TornWalTailIsTruncatedSoAppendsStayReachable) {
   {
     Result<std::unique_ptr<DurableRegistry>> reopened = OpenStore(store);
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-    recovered_atoms = reopened.value()->service().database("base")->SizeAtoms();
+    recovered_atoms = reopened.value()->service().Snapshot("base")->SizeAtoms();
     EXPECT_LT(fs::file_size(wal_path), full_size - 3);  // tail dropped
     Result<DbInfo> info =
         reopened.value()->AppendText("base", "S(x)\nw < x\n");
@@ -264,7 +268,7 @@ TEST(DurableRegistry, TornWalTailIsTruncatedSoAppendsStayReachable) {
   // The open after the post-recovery append must see everything.
   Result<std::unique_ptr<DurableRegistry>> again = OpenStore(store);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_EQ(again.value()->service().database("base")->SizeAtoms(),
+  EXPECT_EQ(again.value()->service().Snapshot("base")->SizeAtoms(),
             recovered_atoms + 2);
   EvalRequest request;
   request.db = "base";

@@ -140,7 +140,7 @@ TEST_F(FailpointTest, TornAppendLeavesRecoverablePrefix) {
   Result<std::unique_ptr<storage::DurableRegistry>> reopened =
       storage::DurableRegistry::Open(store.dir, {});
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  const Database* db = reopened.value()->service().database("t");
+  EvaluationService::DatabasePtr db = reopened.value()->service().Snapshot("t");
   ASSERT_NE(db, nullptr);
   // Base (u, v) plus the first append's w; the torn x never happened.
   EXPECT_EQ(db->num_order_constants(), 3);
@@ -149,7 +149,7 @@ TEST_F(FailpointTest, TornAppendLeavesRecoverablePrefix) {
   Result<std::unique_ptr<storage::DurableRegistry>> again =
       storage::DurableRegistry::Open(store.dir, {});
   ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_EQ(again.value()->service().database("t")->num_order_constants(), 4);
+  EXPECT_EQ(again.value()->service().Snapshot("t")->num_order_constants(), 4);
 }
 
 TEST_F(FailpointTest, SnapshotErrorLeavesPreviousSnapshotIntact) {
@@ -172,7 +172,7 @@ TEST_F(FailpointTest, SnapshotErrorLeavesPreviousSnapshotIntact) {
   Result<std::unique_ptr<storage::DurableRegistry>> reopened =
       storage::DurableRegistry::Open(store.dir, {});
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  const Database* db = reopened.value()->service().database("t");
+  EvaluationService::DatabasePtr db = reopened.value()->service().Snapshot("t");
   ASSERT_NE(db, nullptr);
   EXPECT_EQ(db->num_order_constants(), 3);
 }

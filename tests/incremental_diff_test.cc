@@ -1,12 +1,14 @@
 // Differential tests for the incremental evaluation core.
 //
-// The incremental engines (ModelBuilder + FactIndex + compiled matchers,
-// and the count-maintaining enumerator) must be observationally identical
-// to the legacy rebuild-per-model path, which is kept behind
-// BruteForceOptions::use_incremental = false as the reference oracle:
-// same verdicts, same enumeration order, same work counters where the
-// semantics pin them, and bit-identical countermodels.
+// The count-maintaining enumerator must visit groups and models in the
+// order of a literal transcription of the pre-incremental algorithm; the
+// in-place ModelBuilder must reproduce the rebuilt prefix models; the
+// compiled matchers must agree with the generic checker on every minimal
+// model. Brute-force verdicts are checked against the reference decider
+// (tests/oracle/oracle.h), and its countermodels and work counters
+// against what the enumeration order and the generic checker imply.
 
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "core/model_check.h"
 #include "core/model_matcher.h"
 #include "graph/topo.h"
+#include "oracle/oracle.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
@@ -308,22 +311,48 @@ TEST(CompiledMatcherTest, AgreesWithGenericSatisfiesOnEveryMinimalModel) {
   EXPECT_GT(models_checked, 100);  // the corpus actually exercised us
 }
 
-void ExpectSameOutcome(const BruteForceOutcome& incremental,
-                       const BruteForceOutcome& rebuild, uint64_t seed) {
-  EXPECT_EQ(incremental.entailed, rebuild.entailed) << "seed " << seed;
-  EXPECT_EQ(incremental.limit_hit, rebuild.limit_hit) << "seed " << seed;
-  EXPECT_EQ(incremental.models_enumerated, rebuild.models_enumerated)
-      << "seed " << seed;
-  EXPECT_EQ(incremental.prefixes_pruned, rebuild.prefixes_pruned)
-      << "seed " << seed;
-  ASSERT_EQ(incremental.countermodel.has_value(),
-            rebuild.countermodel.has_value())
-      << "seed " << seed;
-  if (incremental.countermodel.has_value()) {
-    EXPECT_EQ(incremental.countermodel->ToString(),
-              rebuild.countermodel->ToString())
-        << "seed " << seed;
-  }
+// What the unpruned brute-force search must report, read off the
+// enumeration order with the generic checker: the number of models it
+// visits, whether a `max_models` budget (-1 = none) stops it first, and
+// the first minimal model falsifying the query.
+struct ExpectedSearch {
+  long long models = 0;
+  bool limit_hit = false;
+  std::optional<std::string> countermodel;
+};
+
+ExpectedSearch ExpectedFromEnumeration(const NormDb& db,
+                                       const NormQuery& query,
+                                       long long max_models) {
+  ExpectedSearch expected;
+  ModelVisitor visitor;
+  visitor.on_model = [&](const std::vector<std::vector<int>>& groups) {
+    ++expected.models;
+    FiniteModel model = BuildMinimalModel(db, groups);
+    if (!Satisfies(model, query)) {
+      expected.countermodel = model.ToString();
+      return false;
+    }
+    if (max_models >= 0 && expected.models >= max_models) {
+      expected.limit_hit = true;
+      return false;
+    }
+    return true;
+  };
+  ForEachMinimalModel(db, visitor);
+  return expected;
+}
+
+std::optional<std::string> Render(const BruteForceOutcome& outcome) {
+  if (!outcome.countermodel.has_value()) return std::nullopt;
+  return outcome.countermodel->ToString();
+}
+
+bool OracleEntails(const Database& db, const Query& query) {
+  Result<oracle::Verdict> verdict = oracle::Decide(db, query);
+  IODB_CHECK(verdict.ok());
+  IODB_CHECK(verdict.value() != oracle::Verdict::kInconsistent);
+  return verdict.value() == oracle::Verdict::kEntailed;
 }
 
 TEST(IncrementalBruteForceTest, MatchesRebuildPathOnRandomCorpus) {
@@ -335,15 +364,36 @@ TEST(IncrementalBruteForceTest, MatchesRebuildPathOnRandomCorpus) {
     if (!norm_query.ok()) continue;
     NormDb norm = MustNormalize(db);
 
-    for (bool prune : {true, false}) {
-      BruteForceOptions incremental_options;
-      incremental_options.prune_satisfied_prefix = prune;
-      BruteForceOptions rebuild_options = incremental_options;
-      rebuild_options.use_incremental = false;
-      ExpectSameOutcome(
-          EntailBruteForce(norm, norm_query.value(), incremental_options),
-          EntailBruteForce(norm, norm_query.value(), rebuild_options), seed);
+    BruteForceOptions unpruned;
+    unpruned.prune_satisfied_prefix = false;
+    const BruteForceOutcome pruned_outcome =
+        EntailBruteForce(norm, norm_query.value());
+    const BruteForceOutcome unpruned_outcome =
+        EntailBruteForce(norm, norm_query.value(), unpruned);
+
+    // Pruning changes neither the verdict nor the countermodel: a pruned
+    // subtree holds only models that satisfy the query.
+    EXPECT_EQ(pruned_outcome.entailed, OracleEntails(db, query))
+        << "seed " << seed;
+    EXPECT_EQ(unpruned_outcome.entailed, pruned_outcome.entailed)
+        << "seed " << seed;
+    EXPECT_EQ(Render(unpruned_outcome), Render(pruned_outcome))
+        << "seed " << seed;
+    ASSERT_EQ(pruned_outcome.countermodel.has_value(),
+              !pruned_outcome.entailed)
+        << "seed " << seed;
+    if (pruned_outcome.countermodel.has_value()) {
+      EXPECT_FALSE(Satisfies(*pruned_outcome.countermodel, norm_query.value()))
+          << "seed " << seed;
     }
+
+    const ExpectedSearch expected =
+        ExpectedFromEnumeration(norm, norm_query.value(), -1);
+    EXPECT_EQ(unpruned_outcome.models_enumerated, expected.models)
+        << "seed " << seed;
+    EXPECT_FALSE(unpruned_outcome.limit_hit) << "seed " << seed;
+    EXPECT_EQ(Render(unpruned_outcome), expected.countermodel)
+        << "seed " << seed;
   }
 }
 
@@ -356,14 +406,21 @@ TEST(IncrementalBruteForceTest, MatchesRebuildUnderModelBudget) {
     if (!norm_query.ok()) continue;
     NormDb norm = MustNormalize(db);
 
-    BruteForceOptions incremental_options;
-    incremental_options.prune_satisfied_prefix = false;
-    incremental_options.max_models = 3;
-    BruteForceOptions rebuild_options = incremental_options;
-    rebuild_options.use_incremental = false;
-    ExpectSameOutcome(
-        EntailBruteForce(norm, norm_query.value(), incremental_options),
-        EntailBruteForce(norm, norm_query.value(), rebuild_options), seed);
+    BruteForceOptions options;
+    options.prune_satisfied_prefix = false;
+    options.max_models = 3;
+    const BruteForceOutcome outcome =
+        EntailBruteForce(norm, norm_query.value(), options);
+    const ExpectedSearch expected =
+        ExpectedFromEnumeration(norm, norm_query.value(), 3);
+    EXPECT_EQ(outcome.models_enumerated, expected.models) << "seed " << seed;
+    EXPECT_EQ(outcome.limit_hit, expected.limit_hit) << "seed " << seed;
+    EXPECT_EQ(Render(outcome), expected.countermodel) << "seed " << seed;
+    // A budget stop is "unknown", reported as entailed; otherwise the
+    // search finished and its verdict is definite.
+    if (!outcome.limit_hit) {
+      EXPECT_EQ(outcome.entailed, OracleEntails(db, query)) << "seed " << seed;
+    }
   }
 }
 

@@ -9,7 +9,8 @@
 // transformed-db cache), so the gap isolates query-compilation cost —
 // constant elimination, inequality rewriting, normalization, the
 // rational-closure transform, the object/order split. The batch pair
-// additionally measures `EvaluateBatch` across many databases.
+// additionally measures `EvaluateBatch` across many databases, and the
+// order-free pair compares two engines on the same prepared plans.
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +20,7 @@
 #include "core/parser.h"
 #include "core/prepare.h"
 #include "util/random.h"
+#include "workload/generators.h"
 #include "workload/scenarios.h"
 
 namespace iodb {
@@ -221,6 +223,50 @@ BENCHMARK(BM_BatchParallel)
     ->Args({16, 2})
     ->Args({16, 4})
     ->UseRealTime();
+
+// --- Order-free route: the discrete model vs the Theorem 5.3 search -------
+// Disjunctions of one-variable disjuncts with 2-3 labels each (no order
+// atom) over a width-4 database of 4 chains x 6 points and 16 predicates.
+// Arg 0 lets kAuto take the order-free route; arg 1 forces the
+// disjunctive search on the same plans. One iteration evaluates 16
+// prepared queries, entailed and not.
+
+void BM_OrderFreeRoute(benchmark::State& state) {
+  auto vocab = std::make_shared<Vocabulary>();
+  Rng rng(2026);
+  MonadicDbParams params;
+  params.num_chains = 4;
+  params.chain_length = 6;
+  params.num_predicates = 16;
+  params.label_probability = 0.12;
+  const Database db = RandomMonadicDb(params, vocab, rng);
+
+  EntailOptions options;
+  const bool forced = state.range(0) == 1;
+  if (forced) options.engine = EngineKind::kDisjunctiveSearch;
+  state.SetLabel(forced ? "disjunctive-search" : "auto");
+  std::vector<PreparedQuery> plans;
+  for (int q = 0; q < 16; ++q) {
+    Query query(vocab);
+    for (int d = rng.UniformInt(2, 3); d > 0; --d) {
+      QueryConjunct& conjunct = query.AddDisjunct().Exists("t");
+      for (int l = rng.UniformInt(2, 3); l > 0; --l) {
+        conjunct.Atom("P" + std::to_string(rng.UniformInt(0, 15)), {"t"});
+      }
+    }
+    plans.push_back(MustPrepare(vocab, query, options));
+  }
+  for (auto _ : state) {
+    for (const PreparedQuery& plan : plans) {
+      Result<EntailResult> result = plan.Evaluate(db);
+      IODB_CHECK(result.ok());
+      benchmark::DoNotOptimize(result.value().entailed);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(plans.size()));
+}
+BENCHMARK(BM_OrderFreeRoute)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace iodb

@@ -16,6 +16,8 @@ const char* EngineKindName(EngineKind kind) {
       return "bounded-width";
     case EngineKind::kDisjunctiveSearch:
       return "disjunctive-search";
+    case EngineKind::kOrderFree:
+      return "order-free";
   }
   return "unknown";
 }
@@ -24,7 +26,7 @@ std::optional<EngineKind> ParseEngineKind(const std::string& name) {
   for (EngineKind kind :
        {EngineKind::kAuto, EngineKind::kBruteForce,
         EngineKind::kPathDecomposition, EngineKind::kBoundedWidth,
-        EngineKind::kDisjunctiveSearch}) {
+        EngineKind::kDisjunctiveSearch, EngineKind::kOrderFree}) {
     if (name == EngineKindName(kind)) return kind;
   }
   // Historical CLI shorthands, kept so existing scripts don't break.

@@ -30,12 +30,22 @@ namespace iodb {
 class QueryPlanner;  // core/planner.h
 
 /// Algorithm selection.
+///
+/// kOrderFree covers the queries with no order atom and no inequality
+/// left in any disjunct. Every minimal model is the group sequence of a
+/// topological sort of D (Proposition 2.8), and sending each point to its
+/// group keeps every fact that is not an order atom. So such a query holds
+/// in every minimal model (Corollary 2.9) iff it holds in the discrete
+/// one, where every point is its own group: relational evaluation over
+/// D's own facts, with no model search (core/entail_order_free.h). kAuto
+/// takes this route ahead of every other, costed ones included.
 enum class EngineKind {
   kAuto,               // classify and pick the best applicable engine
   kBruteForce,         // minimal-model countermodel search (always applies)
   kPathDecomposition,  // Lemma 4.1 + SEQ (conjunctive monadic)
   kBoundedWidth,       // Theorem 4.7 (conjunctive monadic)
   kDisjunctiveSearch,  // Theorem 5.3 (disjunctive monadic)
+  kOrderFree,          // Proposition 2.8: the discrete model decides
 };
 
 /// Returns a short name, e.g. "bounded-width".
@@ -67,7 +77,8 @@ struct EntailResult {
   /// The engine that produced the verdict.
   EngineKind engine_used = EngineKind::kAuto;
   /// A falsifying minimal model, when not entailed and requested (brute
-  /// force, bounded-width and disjunctive engines provide one).
+  /// force, bounded-width, disjunctive and order-free engines provide
+  /// one).
   std::optional<FiniteModel> countermodel;
   /// Work counters (meaning depends on the engine).
   long long states_visited = 0;

@@ -7,6 +7,7 @@
 #include "core/entail_bounded_width.h"
 #include "core/entail_bruteforce.h"
 #include "core/entail_disjunctive.h"
+#include "core/entail_order_free.h"
 #include "core/entail_paths.h"
 #include "core/inequality.h"
 #include "core/minimal_models.h"
@@ -326,16 +327,22 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
   // database inequalities, ground-fact filtering — happen at Evaluate).
   {
     bool all_monadic = true;
+    bool all_order_free = !plan.disjuncts_.empty();
     for (DisjunctPlan& entry : plan.disjuncts_) {
       entry.monadic_order_only = entry.reduced.IsMonadicOrderOnly();
+      entry.order_free = IsOrderFree(entry.reduced);
       entry.order_vars = entry.reduced.num_order_vars();
       entry.width = entry.reduced.Width();
-      entry.engine = entry.monadic_order_only ? EngineKind::kBoundedWidth
-                                              : EngineKind::kBruteForce;
+      entry.engine = entry.order_free           ? EngineKind::kOrderFree
+                     : entry.monadic_order_only ? EngineKind::kBoundedWidth
+                                                : EngineKind::kBruteForce;
       all_monadic = all_monadic && entry.monadic_order_only;
+      all_order_free = all_order_free && entry.order_free;
     }
     if (options.engine != EngineKind::kAuto) {
       plan.planned_engine_ = options.engine;
+    } else if (all_order_free) {
+      plan.planned_engine_ = EngineKind::kOrderFree;
     } else if (!all_monadic) {
       plan.planned_engine_ = EngineKind::kBruteForce;
     } else {
@@ -429,7 +436,8 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
       }
 
       // Engine route: only a suggestion, only when the caller said
-      // kAuto; applicability is re-checked per database at Evaluate.
+      // kAuto; applicability is re-checked per database at Evaluate,
+      // where the order-free route outranks it.
       if (choice.engine != EngineKind::kAuto &&
           options.engine == EngineKind::kAuto) {
         outcome.engine = choice.engine;
@@ -642,9 +650,17 @@ Result<EntailResult> PreparedQuery::EvaluateWith(const Database& db,
   const bool monadic_ok = split_query.IsMonadicOrderOnly();
   const bool db_neq_free = ndb.inequalities.empty();
   const bool conjunctive = split_query.IsConjunctive();
+  bool order_free = true;
+  for (int idx : plan_index) {
+    order_free = order_free && disjuncts_[idx].order_free;
+  }
 
   EngineKind engine = options_.engine;
-  if (engine == EngineKind::kAuto) {
+  if (engine == EngineKind::kAuto && order_free) {
+    // No order atom survives: the discrete model decides, so this route
+    // comes ahead of any costed one.
+    engine = EngineKind::kOrderFree;
+  } else if (engine == EngineKind::kAuto) {
     // A costed route is taken only when applicable to THIS database's
     // instance; otherwise the static auto rule decides. Suggestions are
     // advisory, so inapplicability falls back instead of erroring.
@@ -677,6 +693,12 @@ Result<EntailResult> PreparedQuery::EvaluateWith(const Database& db,
     if (!monadic_ok) {
       return Status::Unsupported(
           "disjunctive monadic engine requested for a non-monadic instance");
+    }
+  } else if (engine == EngineKind::kOrderFree) {
+    if (!order_free) {
+      return Status::Unsupported(
+          "order-free engine requested for a query with order atoms or "
+          "inequalities");
     }
   }
   result.engine_used = engine;
@@ -776,6 +798,18 @@ Result<EntailResult> PreparedQuery::EvaluateWith(const Database& db,
       if (options_.want_countermodel) {
         result.countermodel = std::move(outcome.countermodel);
       }
+      break;
+    }
+    case EngineKind::kOrderFree: {
+      OrderFreeOutcome outcome = EntailOrderFree(
+          ndb, split_query, options_.want_countermodel, budget);
+      result.entailed = outcome.entailed;
+      result.states_visited = outcome.label_tests;
+      result.check_stats = outcome.check_stats;
+      if (outcome.exhausted) {
+        return ExhaustedStatus(budget, "engine order-free", result);
+      }
+      result.countermodel = std::move(outcome.countermodel);
       break;
     }
     case EngineKind::kAuto:
@@ -952,12 +986,23 @@ std::string PreparedQuery::Explain() const {
   }
   out += std::string("dispatch: ") + EngineKindName(planned_engine_);
   if (cost_outcome_.engine.has_value()) {
-    out += std::string(" -> ") + EngineKindName(*cost_outcome_.engine) +
-           " (costed route, where applicable)";
+    const std::string costed = EngineKindName(*cost_outcome_.engine);
+    out += ExpectedEngine() == planned_engine_
+               ? " (outranks the costed route " + costed + ")"
+               : " -> " + costed + " (costed route, where applicable)";
   }
   out += " (database-dependent filtering may adjust)\n";
   out += "plan-choice: " + PlanChoiceSummary() + "\n";
   return out;
+}
+
+EngineKind PreparedQuery::ExpectedEngine() const {
+  // A costed route is only ever recorded under kAuto.
+  if (cost_outcome_.engine.has_value() &&
+      planned_engine_ != EngineKind::kOrderFree) {
+    return *cost_outcome_.engine;
+  }
+  return planned_engine_;
 }
 
 std::string PreparedQuery::PlanChoiceSummary() const {
@@ -970,7 +1015,7 @@ std::string PreparedQuery::PlanChoiceSummary() const {
                     std::to_string(disjuncts_.size()) +
                     ",reorder=" + (reorder ? "yes" : "no");
   if (cost_outcome_.engine.has_value()) {
-    out += std::string(",engine=") + EngineKindName(*cost_outcome_.engine);
+    out += std::string(",engine=") + EngineKindName(ExpectedEngine());
   }
   return out + ")";
 }

@@ -16,7 +16,9 @@
 //                          order variable are carved off (Section 4);
 //                          checking them against ground facts is the
 //                          evaluation-time half
-//   engine-classification  per-disjunct static engine choice
+//   engine-classification  per-disjunct static engine choice; a query
+//                          with no order atom and no inequality left
+//                          goes to the order-free engine
 //   cost-plan              when the options carry a QueryPlanner
 //                          (core/planner.h), rank alternative conjunct
 //                          schedules, reorder disjuncts for early exit,
@@ -97,6 +99,9 @@ struct DisjunctPlan {
   std::optional<NormConjunct> object_part;
   /// True if `reduced` is in the monadic-order fragment of Sections 4-6.
   bool monadic_order_only = false;
+  /// True if `reduced` has no order atom and no inequality, so the
+  /// order-free engine decides it on the database's own facts.
+  bool order_free = false;
   int order_vars = 0;
   int width = 0;
   /// The engine this disjunct runs on when it is the only survivor
@@ -125,7 +130,8 @@ struct CostPlanOutcome {
   std::vector<std::vector<int>> schedules;
   /// The accepted disjunct permutation; empty keeps the input order.
   std::vector<int> disjunct_order;
-  /// The accepted engine route (kept only under kAuto).
+  /// The accepted engine route (kept only under kAuto). Evaluate takes
+  /// the order-free route ahead of it.
   std::optional<EngineKind> engine;
 
   friend bool operator==(const CostPlanOutcome&,
@@ -238,10 +244,18 @@ class PreparedQuery {
   /// database. Evaluate() reports the actual choice per database.
   EngineKind planned_engine() const { return planned_engine_; }
 
+  /// The engine the plan is expected to run: the forced engine, else the
+  /// order-free route, else the cost plan's route when it took one, else
+  /// the static plan. Evaluate() may still fall back per database, when
+  /// a costed route does not apply there.
+  EngineKind ExpectedEngine() const;
+
   /// Compact descriptor of the cost-plan pass outcome, for per-request
   /// plan-choice tags (iodb_replay, the serving protocol): "default"
   /// when no planner ran or nothing changed, else e.g.
-  /// "costed(sched=1/2,reorder=yes,engine=brute-force)".
+  /// "costed(sched=1/2,reorder=yes,engine=brute-force)". On an order-free
+  /// plan an engine suggestion renders as "engine=order-free", the route
+  /// that outranks it.
   std::string PlanChoiceSummary() const;
 
   /// Marker facts injected into each evaluated database (the db-side half

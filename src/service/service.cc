@@ -12,18 +12,14 @@
 namespace iodb {
 namespace {
 
-// True when `plan` is expected to run a polynomial engine (bounded
-// width or path decomposition): the forced engine, else the cost plan's
-// route when it took one, else the static plan. A trivially true plan
-// runs no engine.
+// True when `plan` is expected to run a polynomial engine (order-free,
+// bounded width or path decomposition). A trivially true plan runs no
+// engine.
 bool OnPolynomialRoute(const PreparedQuery& plan) {
   if (plan.trivially_true()) return true;
-  EngineKind engine = plan.planned_engine();
-  if (plan.options().engine == EngineKind::kAuto &&
-      plan.cost_outcome().engine.has_value()) {
-    engine = *plan.cost_outcome().engine;
-  }
-  return engine == EngineKind::kBoundedWidth ||
+  const EngineKind engine = plan.ExpectedEngine();
+  return engine == EngineKind::kOrderFree ||
+         engine == EngineKind::kBoundedWidth ||
          engine == EngineKind::kPathDecomposition;
 }
 

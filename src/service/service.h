@@ -170,10 +170,11 @@ class EvaluationService {
   /// Serves a batch: requests are grouped by compiled plan, a group's
   /// databases are fanned across the worker pool when there is at least
   /// one per worker or the plan routes to brute force or the disjunctive
-  /// search (smaller groups on a polynomial route run on the calling
-  /// thread, one database at a time, each still sharding a brute-force
-  /// enumeration should it fall back to one), and results[i] is
-  /// always the verdict of requests[i] regardless of scheduling. Every
+  /// search (smaller groups on a polynomial route, order-free included,
+  /// run on the calling thread, one database at a time, each still
+  /// sharding a brute-force enumeration should it fall back to one), and
+  /// results[i] is always the verdict of requests[i] regardless of
+  /// scheduling. Every
   /// member pins its database version at batch start. Per-request
   /// failures (unknown database, parse errors) fail only their own slot.
   ///

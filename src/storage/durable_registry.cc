@@ -99,6 +99,8 @@ Result<std::unique_ptr<DurableRegistry>> DurableRegistry::Open(
     Status status = RestoreVocabularyInto(
         vocab_path, registry->service_.vocab().get());
     if (!status.ok()) return status;
+    registry->persisted_predicates_ =
+        registry->service_.vocab()->num_predicates();
   }
 
   // 2. Restore databases in sorted-name order (deterministic open).
@@ -176,8 +178,13 @@ Result<std::unique_ptr<DurableRegistry>> DurableRegistry::Open(
 }
 
 Status DurableRegistry::PersistVocabulary() {
-  return SaveVocabulary(*service_.vocab(),
-                        (fs::path(dir_) / kVocabFileName).string());
+  // Count first: a predicate registered while the file is encoded may or
+  // may not be in it, and must count as not persisted.
+  const int predicates = service_.vocab()->num_predicates();
+  Status status = SaveVocabulary(*service_.vocab(),
+                                 (fs::path(dir_) / kVocabFileName).string());
+  if (status.ok()) persisted_predicates_ = predicates;
+  return status;
 }
 
 Result<DbInfo> DurableRegistry::PersistDatabase(const std::string& name) {
@@ -212,10 +219,14 @@ Result<DbInfo> DurableRegistry::AppendText(const std::string& name,
   Result<std::vector<WalRecord>> records =
       ParseMutationText(text, service_.vocab());
   if (!records.ok()) return records.status();
-  // Parsing may have registered new predicates; persist the vocabulary
-  // before anything that could reference them is durable.
-  Status status = PersistVocabulary();
-  if (!status.ok()) return status;
+  // Persist the vocabulary before anything that could reference a new
+  // predicate is durable. The test is against what the file last held,
+  // not against what this parse registered: a save that failed on an
+  // earlier append is retried here.
+  if (service_.vocab()->num_predicates() > persisted_predicates_) {
+    Status status = PersistVocabulary();
+    if (!status.ok()) return status;
+  }
   // Single-writer publish path: the mutation is applied to a fork of the
   // published version first (a record the database rejects — e.g. a sort
   // clash with existing constants — must never reach the log, or replay

@@ -127,6 +127,10 @@ class DurableRegistry {
   std::map<std::string, std::pair<uint64_t, uint64_t>> base_;
   // Databases whose WAL has appends not yet fsynced (kNone / kInterval).
   std::set<std::string> dirty_;
+  // How many predicates the vocabulary file on disk holds; -1 when no
+  // file has been read or written yet. AppendText rewrites the file only
+  // when the live vocabulary holds more.
+  int persisted_predicates_ = -1;
   std::chrono::steady_clock::time_point last_interval_flush_;
 };
 

@@ -2,8 +2,8 @@
 // serving layer.
 //
 // Each seeded instance draws a k-observer database (RandomMonadicDb) and
-// a query from one of the generator families (conjunctive monadic /
-// sequential / disjunctive sequential), then decides entailment through
+// a query from one of the families (conjunctive monadic / sequential /
+// disjunctive sequential / order-free), then decides entailment through
 // every applicable path:
 //
 //   * Entails() with engine=auto (the facade),
@@ -11,6 +11,8 @@
 //   * the bounded-width and path-decomposition engines (conjunctive
 //     monadic instances),
 //   * the disjunctive-search engine,
+//   * the order-free engine (order-free instances; on the others it must
+//     either refuse with kUnsupported or agree),
 //   * the EvaluationService single-request path (which also round-trips
 //     the query through Print -> Parse and the plan cache),
 //   * the EvaluationService batch path (requests chunked through
@@ -36,6 +38,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -78,15 +81,55 @@ struct Verdict {
   bool entailed = false;
 };
 
-// The drawn instance. All queries are constant-free and monadic-order
-// (the generator families), so the disjunctive engine always applies and
-// the conjunctive engines apply iff the query has one disjunct.
+// The drawn instance. All queries are monadic-order, so the disjunctive
+// engine always applies. Families 0-2 are constant-free over databases
+// without "!=", and the conjunctive engines apply to families 0 and 1.
+// The order-free family may name a database constant (constant
+// elimination turns it into a marker label) over a database that may
+// carry one "!=" (the Section 7 sorting modification).
 struct Instance {
   Database db;
   Query query;
   OrderSemantics semantics = OrderSemantics::kFinite;
-  int family = 0;  // 0 = conjunctive, 1 = sequential, 2 = disjunctive
+  // 0 = conjunctive, 1 = sequential, 2 = disjunctive, 3 = order-free
+  int family = 0;
 };
+
+// The order-free family: 1-3 disjuncts of 1-3 variables with 1-3 labels
+// each and no order atom; sometimes one disjunct also asserts a label of
+// a database constant.
+Query RandomOrderFreeQuery(const Database& db, int num_predicates,
+                           const VocabularyPtr& vocab, Rng& rng) {
+  std::vector<QueryConjunct> disjuncts(rng.UniformInt(1, 3));
+  const int max_labels = std::min(3, num_predicates);
+  for (QueryConjunct& conjunct : disjuncts) {
+    const int vars = rng.UniformInt(1, 3);
+    for (int v = 0; v < vars; ++v) {
+      const std::string var = "t" + std::to_string(v);
+      conjunct.Exists(var);
+      std::vector<int> labels;
+      const int count = rng.UniformInt(1, max_labels);
+      while (static_cast<int>(labels.size()) < count) {
+        const int p = rng.UniformInt(0, num_predicates - 1);
+        if (std::find(labels.begin(), labels.end(), p) == labels.end()) {
+          labels.push_back(p);
+          conjunct.Atom("P" + std::to_string(p), {var});
+        }
+      }
+    }
+  }
+  if (rng.Bernoulli(0.25)) {
+    const int c = rng.UniformInt(0, db.num_order_constants() - 1);
+    const int p = rng.UniformInt(0, num_predicates - 1);
+    disjuncts[rng.Uniform(disjuncts.size())].Atom("P" + std::to_string(p),
+                                                  {db.order_name(c)});
+  }
+  Query query(vocab);
+  for (QueryConjunct& conjunct : disjuncts) {
+    query.AddDisjunct(std::move(conjunct));
+  }
+  return query;
+}
 
 Instance DrawInstance(uint64_t seed, const VocabularyPtr& vocab) {
   Rng rng(seed);
@@ -101,7 +144,14 @@ Instance DrawInstance(uint64_t seed, const VocabularyPtr& vocab) {
   params.le_probability = rng.UniformInt(0, 40) / 100.0;
   Database db = RandomMonadicDb(params, vocab, rng);
 
-  const int family = rng.UniformInt(0, 2);
+  const int family = rng.UniformInt(0, 3);
+  if (family == 3 && rng.Bernoulli(0.25)) {
+    // One database "!=" between two distinct points.
+    const int n = db.num_order_constants();
+    const int u = rng.UniformInt(0, n - 1);
+    const int v = (u + rng.UniformInt(1, n - 1)) % n;
+    db.AddInequality(u, v);
+  }
   Query query = [&] {
     switch (family) {
       case 0:
@@ -115,11 +165,13 @@ Instance DrawInstance(uint64_t seed, const VocabularyPtr& vocab) {
                                      params.num_predicates,
                                      /*label_probability=*/0.4,
                                      /*le_probability=*/0.3, vocab, rng);
-      default:
+      case 2:
         return RandomDisjunctiveSequentialQuery(
             rng.UniformInt(2, 3), rng.UniformInt(2, 4),
             params.num_predicates, /*label_probability=*/0.4,
             /*le_probability=*/0.3, vocab, rng);
+      default:
+        return RandomOrderFreeQuery(db, params.num_predicates, vocab, rng);
     }
   }();
 
@@ -238,7 +290,23 @@ std::optional<std::vector<Verdict>> EngineVerdicts(const Instance& instance,
   if (!run("disjunctive-search", EngineKind::kDisjunctiveSearch)) {
     return std::nullopt;
   }
-  if (instance.family != 2) {  // conjunctive instance
+  if (instance.family == 3) {
+    if (!run("order-free", EngineKind::kOrderFree)) return std::nullopt;
+  } else {
+    // The random families may draw an order-free query too; otherwise
+    // the forced route must refuse the instance.
+    EntailOptions forced = options;
+    forced.engine = EngineKind::kOrderFree;
+    Result<EntailResult> result =
+        Entails(instance.db, instance.query, forced);
+    if (result.ok()) {
+      verdicts.push_back({"order-free", result.value().entailed});
+    } else if (result.status().code() != StatusCode::kUnsupported) {
+      ADD_FAILURE() << "order-free failed: " << result.status().ToString();
+      return std::nullopt;
+    }
+  }
+  if (instance.family <= 1) {  // conjunctive instance
     if (!run("bounded-width", EngineKind::kBoundedWidth)) return std::nullopt;
     if (!run("path-decomposition", EngineKind::kPathDecomposition)) {
       return std::nullopt;

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "storage/snapshot.h"
+#include "util/failpoint.h"
 
 namespace iodb {
 namespace {
@@ -115,6 +116,55 @@ TEST(DurableRegistry, AppendTextIsWalLoggedAndReplayed) {
   Result<EvalResponse> response = reopened.value()->service().Eval(request);
   ASSERT_TRUE(response.ok());
   EXPECT_TRUE(response.value().entailed);  // w carries both R and P
+}
+
+// The vocabulary file is rewritten only when the live vocabulary holds
+// predicates the file lacks, and a failed rewrite is retried by the next
+// append even when that append registers nothing new.
+TEST(DurableRegistry, VocabularySaveRetriedAfterFailure) {
+  TempStore store("vocab_retry");
+  // The vocabulary save is the append path's only atomic file write.
+  const char* kVocabWrite = "snapshot-write-before-tmp";
+  {
+    Result<std::unique_ptr<DurableRegistry>> registry = OpenStore(store);
+    ASSERT_TRUE(registry.ok());
+    ASSERT_TRUE(registry.value()->Load("base", kBaseText).ok());
+    {
+      failpoint::Scoped fail(kVocabWrite, failpoint::Action::kError);
+      // R is new: the save fails, so the append must fail unlogged.
+      EXPECT_FALSE(
+          registry.value()->AppendText("base", "R(w)\nv < w\n").ok());
+    }
+    const long long hits = failpoint::Hits(kVocabWrite);
+    // R is registered now, but the file still lacks it: rewritten here.
+    Result<DbInfo> retried =
+        registry.value()->AppendText("base", "R(v)\nu < v\n");
+    ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+    EXPECT_EQ(failpoint::Hits(kVocabWrite), hits + 1);
+    Vocabulary on_disk;
+    ASSERT_TRUE(
+        storage::RestoreVocabularyInto(store.path + "/vocab.iodb", &on_disk)
+            .ok());
+    EXPECT_EQ(on_disk.FindPredicate("R"),
+              registry.value()->service().vocab()->FindPredicate("R"));
+    // Nothing new: the file is left alone.
+    ASSERT_TRUE(registry.value()->AppendText("base", "P(v)\nu < v\n").ok());
+    EXPECT_EQ(failpoint::Hits(kVocabWrite), hits + 1);
+  }
+  failpoint::DisarmAll();
+
+  Result<std::unique_ptr<DurableRegistry>> reopened = OpenStore(store);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EvaluationService::DatabasePtr db =
+      reopened.value()->service().Snapshot("base");
+  ASSERT_NE(db, nullptr);
+  EXPECT_EQ(db->SizeAtoms(), 7);  // the failed append left no trace
+  EvalRequest request;
+  request.db = "base";
+  request.query = "exists t: R(t) & P(t) & Q(t)";
+  Result<EvalResponse> response = reopened.value()->service().Eval(request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_TRUE(response.value().entailed);  // v carries R, P and Q
 }
 
 TEST(DurableRegistry, CompactFoldsWalAndPreservesState) {

@@ -12,7 +12,7 @@ TEST(EngineTest, EngineNamesRoundTrip) {
   for (EngineKind kind :
        {EngineKind::kAuto, EngineKind::kBruteForce,
         EngineKind::kPathDecomposition, EngineKind::kBoundedWidth,
-        EngineKind::kDisjunctiveSearch}) {
+        EngineKind::kDisjunctiveSearch, EngineKind::kOrderFree}) {
     EXPECT_EQ(ParseEngineKind(EngineKindName(kind)), std::optional(kind));
   }
   // Historical CLI shorthands stay accepted.
@@ -42,8 +42,9 @@ TEST(EngineTest, AutoPicksDisjunctiveForDisjunctions) {
   Result<Database> db =
       ParseDatabase("pred P(order)\npred Q(order)\nP(u)\nQ(v)", vocab);
   ASSERT_TRUE(db.ok());
+  // The order atom keeps the query off the order-free route.
   Result<Query> query =
-      ParseQuery("exists t: P(t) | exists s: Q(s)", vocab);
+      ParseQuery("exists t r: P(t) & t < r | exists s: Q(s)", vocab);
   ASSERT_TRUE(query.ok());
   Result<EntailResult> result = Entails(db.value(), query.value());
   ASSERT_TRUE(result.ok());
@@ -51,7 +52,76 @@ TEST(EngineTest, AutoPicksDisjunctiveForDisjunctions) {
   EXPECT_EQ(result.value().engine_used, EngineKind::kDisjunctiveSearch);
 }
 
+TEST(EngineTest, AutoPicksOrderFreeForOrderFreeDisjunctions) {
+  auto vocab = std::make_shared<Vocabulary>();
+  Result<Database> db =
+      ParseDatabase("pred P(order)\npred Q(order)\nP(u)\nQ(v)", vocab);
+  ASSERT_TRUE(db.ok());
+  Result<Query> query =
+      ParseQuery("exists t: P(t) | exists s: Q(s)", vocab);
+  ASSERT_TRUE(query.ok());
+  Result<EntailResult> result = Entails(db.value(), query.value());
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.value().entailed);
+  EXPECT_EQ(result.value().engine_used, EngineKind::kOrderFree);
+}
+
+TEST(EngineTest, ForcedOrderFreeRefusesOrderedQueries) {
+  auto vocab = std::make_shared<Vocabulary>();
+  Result<Database> db =
+      ParseDatabase("pred P(order)\npred Q(order)\nP(u)\nQ(v)", vocab);
+  ASSERT_TRUE(db.ok());
+  EntailOptions options;
+  options.engine = EngineKind::kOrderFree;
+  for (const char* text : {"exists t s: P(t) & t < s",
+                           "exists t s: P(t) & Q(s) & t != s"}) {
+    Result<Query> query = ParseQuery(text, vocab);
+    ASSERT_TRUE(query.ok());
+    Result<EntailResult> result = Entails(db.value(), query.value(), options);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.status().code(), StatusCode::kUnsupported) << text;
+  }
+}
+
+TEST(EngineTest, OrderFreeCountermodelIsTheDiscreteModel) {
+  auto vocab = std::make_shared<Vocabulary>();
+  Result<Database> db = ParseDatabase(
+      "pred P(order)\npred Q(order)\nP(u)\nQ(v)\nu <= v", vocab);
+  ASSERT_TRUE(db.ok());
+  // P and Q may share a point, but in the discrete model they do not.
+  Result<Query> query = ParseQuery("exists t: P(t) & Q(t)", vocab);
+  ASSERT_TRUE(query.ok());
+  EntailOptions options;
+  options.want_countermodel = true;
+  Result<EntailResult> result = Entails(db.value(), query.value(), options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_FALSE(result.value().entailed);
+  EXPECT_EQ(result.value().engine_used, EngineKind::kOrderFree);
+  ASSERT_TRUE(result.value().countermodel.has_value());
+  EXPECT_EQ(result.value().countermodel->num_points, 2);
+  // The forced searches agree and find a countermodel of their own.
+  options.engine = EngineKind::kBruteForce;
+  Result<EntailResult> brute = Entails(db.value(), query.value(), options);
+  ASSERT_TRUE(brute.ok());
+  EXPECT_FALSE(brute.value().entailed);
+}
+
 TEST(EngineTest, AutoPicksBruteForceForNaryPredicates) {
+  auto vocab = std::make_shared<Vocabulary>();
+  Result<Database> db =
+      ParseDatabase("pred B(object, order)\nB(a, t1)\nt1 < t2", vocab);
+  ASSERT_TRUE(db.ok());
+  // The order atom keeps the query off the order-free route.
+  Result<Query> query =
+      ParseQuery("exists x s r: B(x, s) & s < r", vocab);
+  ASSERT_TRUE(query.ok());
+  Result<EntailResult> result = Entails(db.value(), query.value());
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.value().entailed);
+  EXPECT_EQ(result.value().engine_used, EngineKind::kBruteForce);
+}
+
+TEST(EngineTest, AutoPicksOrderFreeForOrderFreeNaryPredicates) {
   auto vocab = std::make_shared<Vocabulary>();
   Result<Database> db =
       ParseDatabase("pred B(object, order)\nB(a, t1)\nt1 < t2", vocab);
@@ -61,7 +131,7 @@ TEST(EngineTest, AutoPicksBruteForceForNaryPredicates) {
   Result<EntailResult> result = Entails(db.value(), query.value());
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().entailed);
-  EXPECT_EQ(result.value().engine_used, EngineKind::kBruteForce);
+  EXPECT_EQ(result.value().engine_used, EngineKind::kOrderFree);
 }
 
 TEST(EngineTest, ForcedEngineUnsupportedMismatch) {
@@ -102,13 +172,22 @@ TEST(EngineTest, ObjectPartSplitEvaluatesGroundFacts) {
   ASSERT_TRUE(db.ok());
   // Object component true + order component true.
   Result<Query> yes =
-      ParseQuery("exists x t: Person(x) & P(t)", vocab);
+      ParseQuery("exists x t r: Person(x) & P(t) & t < r", vocab);
   ASSERT_TRUE(yes.ok());
   Result<EntailResult> r1 = Entails(db.value(), yes.value());
   ASSERT_TRUE(r1.ok());
   EXPECT_TRUE(r1.value().entailed);
   // The order part runs on a monadic engine despite the object atom.
   EXPECT_EQ(r1.value().engine_used, EngineKind::kBoundedWidth);
+
+  // Without the order atom, the order part left after the split is
+  // order-free.
+  Result<Query> free = ParseQuery("exists x t: Person(x) & P(t)", vocab);
+  ASSERT_TRUE(free.ok());
+  Result<EntailResult> r0 = Entails(db.value(), free.value());
+  ASSERT_TRUE(r0.ok());
+  EXPECT_TRUE(r0.value().entailed);
+  EXPECT_EQ(r0.value().engine_used, EngineKind::kOrderFree);
 
   // Unknown predicates surface as errors during normalization.
   Result<Query> unknown = ParseQuery("exists x t: Dog(x) & P(t)", vocab);

@@ -1,18 +1,21 @@
 // Cross-engine agreement: the brute-force minimal-model engine is the
 // semantic reference; the SEQ/path engine (Lemma 4.1), the bounded-width
-// engine (Theorem 4.7), the disjunctive engine (Theorem 5.3) and the
-// compiled basis (Section 6) must agree with it on random monadic
-// instances, and countermodels must actually falsify the query. The
+// engine (Theorem 4.7), the disjunctive engine (Theorem 5.3), the
+// order-free engine (Proposition 2.8) and the compiled basis (Section 6)
+// must agree with it on random instances, and countermodels must
+// actually falsify the query. The
 // automata engines are also checked against the reference decider
 // (tests/oracle/oracle.h), which shares no code with any engine.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/entail_bounded_width.h"
 #include "core/entail_bruteforce.h"
 #include "core/entail_disjunctive.h"
+#include "core/entail_order_free.h"
 #include "core/entail_paths.h"
 #include "core/minimal_models.h"
 #include "core/model_check.h"
@@ -98,6 +101,10 @@ TEST_P(ConjunctiveEnginesTest, AllEnginesAgree) {
   EXPECT_EQ(bounded, brute) << "seed " << GetParam();
   EXPECT_EQ(disjunctive, brute) << "seed " << GetParam();
   EXPECT_EQ(basis, brute) << "seed " << GetParam();
+  if (IsOrderFree(conjunct)) {
+    EXPECT_EQ(EntailOrderFree(inst.db, inst.query).entailed, brute)
+        << "seed " << GetParam();
+  }
 }
 
 TEST_P(ConjunctiveEnginesTest, BoundedWidthCountermodelFalsifies) {
@@ -123,6 +130,11 @@ TEST_P(DisjunctiveEngineTest, AgreesWithBruteForce) {
   if (!outcome.entailed) {
     ASSERT_TRUE(outcome.countermodel.has_value());
     EXPECT_FALSE(Satisfies(*outcome.countermodel, inst.query));
+  }
+  if (std::all_of(inst.query.disjuncts.begin(), inst.query.disjuncts.end(),
+                  IsOrderFree)) {
+    EXPECT_EQ(EntailOrderFree(inst.db, inst.query).entailed, brute)
+        << "seed " << GetParam();
   }
 }
 
@@ -152,6 +164,69 @@ TEST_P(DisjunctiveEngineTest, EnumerationMatchesBruteForceCountermodels) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DisjunctiveEngineTest,
                          ::testing::Range(0, 60));
+
+// Order-free instances: monadic labels plus binary R facts, some of
+// them over points no order atom relates, and queries of 1-3 disjuncts
+// with no order atom, some with R atoms (the model-checked half of the
+// engine).
+Instance RandomOrderFreeInstance(uint64_t seed) {
+  Rng rng(seed + 9000);
+  auto vocab = std::make_shared<Vocabulary>();
+  MonadicDbParams params;
+  params.num_chains = rng.UniformInt(1, 3);
+  params.chain_length = rng.UniformInt(1, 3);
+  params.num_predicates = 3;
+  params.label_probability = 0.5;
+  params.le_probability = 0.3;
+  Database db = RandomMonadicDb(params, vocab, rng);
+  const int r = vocab->MustAddPredicate("R", {Sort::kOrder, Sort::kOrder});
+  const int n = db.num_order_constants();
+  for (int k = rng.UniformInt(0, 3); k > 0; --k) {
+    db.AddProperAtom(r, {{Sort::kOrder, rng.UniformInt(0, n - 1)},
+                         {Sort::kOrder, rng.UniformInt(0, n - 1)}});
+  }
+  Query query(vocab);
+  for (int d = rng.UniformInt(1, 3); d > 0; --d) {
+    QueryConjunct& conjunct = query.AddDisjunct();
+    const int vars = rng.UniformInt(1, 3);
+    for (int v = 0; v < vars; ++v) {
+      const std::string var = "t" + std::to_string(v);
+      conjunct.Exists(var);
+      for (int p = 0; p < 3; ++p) {
+        if (rng.Bernoulli(0.4)) conjunct.Atom("P" + std::to_string(p), {var});
+      }
+    }
+    if (rng.Bernoulli(0.4)) {
+      conjunct.Atom("R", {"t" + std::to_string(rng.UniformInt(0, vars - 1)),
+                          "t" + std::to_string(rng.UniformInt(0, vars - 1))});
+    }
+  }
+  Result<NormDb> ndb = Normalize(db);
+  Result<NormQuery> nq = NormalizeQuery(query);
+  IODB_CHECK(ndb.ok());
+  IODB_CHECK(nq.ok());
+  return {std::move(ndb.value()), std::move(nq.value()), std::move(db),
+          std::move(query)};
+}
+
+class OrderFreeEngineTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(OrderFreeEngineTest, AgreesWithBruteForceAndOracle) {
+  Instance inst = RandomOrderFreeInstance(GetParam());
+  const bool brute = EntailBruteForce(inst.db, inst.query).entailed;
+  OrderFreeOutcome outcome =
+      EntailOrderFree(inst.db, inst.query, /*want_countermodel=*/true);
+  EXPECT_EQ(outcome.entailed, brute) << "seed " << GetParam();
+  EXPECT_EQ(outcome.entailed, OracleEntails(inst)) << "seed " << GetParam();
+  // The countermodel is the discrete minimal model.
+  EXPECT_EQ(outcome.countermodel.has_value(), !outcome.entailed);
+  if (!outcome.entailed) {
+    EXPECT_FALSE(Satisfies(*outcome.countermodel, inst.query));
+    EXPECT_EQ(outcome.countermodel->num_points, inst.db.num_points());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OrderFreeEngineTest, ::testing::Range(0, 60));
 
 TEST(MonotonicityTest, AddingFactsPreservesEntailment) {
   // D ⊆ D' (atomwise) and D |= Φ imply D' |= Φ.

@@ -225,6 +225,42 @@ TEST(CostPlanPass, ExplainShowsCostPlanProvenance) {
             std::string::npos);
 }
 
+// The order-free route outranks an engine suggestion: the outcome keeps
+// the suggestion, but the plan runs, explains and summarizes the route.
+TEST(CostPlanPass, OrderFreeRouteOutranksEngineSuggestion) {
+  VocabularyPtr vocab = MonadicVocab();
+  Query query = FreeVarsQuery(vocab);
+  auto stub = std::make_shared<StubPlanner>();
+  stub->choice.engine = EngineKind::kBruteForce;
+  EntailOptions options;
+  options.planner = stub;
+  PreparedQuery plan = MustPrepare(vocab, query, options);
+
+  EXPECT_EQ(plan.cost_outcome().engine, EngineKind::kBruteForce);
+  EXPECT_EQ(plan.planned_engine(), EngineKind::kOrderFree);
+  EXPECT_EQ(plan.ExpectedEngine(), EngineKind::kOrderFree);
+  EXPECT_EQ(plan.PlanChoiceSummary(),
+            "costed(sched=0/1,reorder=no,engine=order-free)");
+  EXPECT_NE(plan.Explain().find(
+                "dispatch: order-free (outranks the costed route "
+                "brute-force)"),
+            std::string::npos)
+      << plan.Explain();
+
+  Database db(vocab);
+  ASSERT_TRUE(db.AddFact("P", {"u"}).ok());
+  ASSERT_TRUE(db.AddFact("Q", {"v"}).ok());
+  db.AddOrder("v", OrderRel::kLt, "u");
+  Result<EntailResult> result = plan.Evaluate(db);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.value().entailed);
+  EXPECT_EQ(result.value().engine_used, EngineKind::kOrderFree);
+
+  // The chain query keeps the costed route.
+  PreparedQuery chain = MustPrepare(vocab, ChainQuery(vocab), options);
+  EXPECT_EQ(chain.ExpectedEngine(), EngineKind::kBruteForce);
+}
+
 // FingerprintPlanInputs, a digest for tools, covers the planner too.
 // Plan caches do not key on it; see CostPlanOutcomeTest below.
 TEST(CostPlanPass, PlannerFingerprintRekeysThePlan) {

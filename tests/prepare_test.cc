@@ -114,7 +114,9 @@ TEST(PrepareTest, EngineClassificationDisjunctive) {
   Result<Database> db =
       ParseDatabase("pred P(order)\npred Q(order)\nP(u)\nQ(v)", vocab);
   ASSERT_TRUE(db.ok());
-  Result<Query> query = ParseQuery("exists t: P(t) | exists s: Q(s)", vocab);
+  // One order atom per disjunct keeps each off the order-free route.
+  Result<Query> query = ParseQuery(
+      "exists t r: P(t) & t < r | exists s r: Q(s) & r < s", vocab);
   ASSERT_TRUE(query.ok());
   Result<PreparedQuery> plan = Prepare(vocab, query.value());
   ASSERT_TRUE(plan.ok());
@@ -129,12 +131,35 @@ TEST(PrepareTest, EngineClassificationDisjunctive) {
   EXPECT_EQ(result.value().engine_used, EngineKind::kDisjunctiveSearch);
 }
 
+TEST(PrepareTest, EngineClassificationOrderFree) {
+  auto vocab = std::make_shared<Vocabulary>();
+  Result<Database> db =
+      ParseDatabase("pred P(order)\npred Q(order)\nP(u)\nQ(v)", vocab);
+  ASSERT_TRUE(db.ok());
+  Result<Query> query = ParseQuery("exists t: P(t) | exists s: Q(s)", vocab);
+  ASSERT_TRUE(query.ok());
+  Result<PreparedQuery> plan = Prepare(vocab, query.value());
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan.value().planned_engine(), EngineKind::kOrderFree);
+  ASSERT_EQ(plan.value().disjuncts().size(), 2u);
+  for (const DisjunctPlan& entry : plan.value().disjuncts()) {
+    EXPECT_TRUE(entry.monadic_order_only);
+    EXPECT_TRUE(entry.order_free);
+    EXPECT_EQ(entry.engine, EngineKind::kOrderFree);
+  }
+  Result<EntailResult> result = plan.value().Evaluate(db.value());
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.value().entailed);
+  EXPECT_EQ(result.value().engine_used, EngineKind::kOrderFree);
+}
+
 TEST(PrepareTest, EngineClassificationNary) {
   auto vocab = std::make_shared<Vocabulary>();
   Result<Database> db =
       ParseDatabase("pred B(object, order)\nB(a, t1)\nt1 < t2", vocab);
   ASSERT_TRUE(db.ok());
-  Result<Query> query = ParseQuery("exists x s: B(x, s)", vocab);
+  // The order atom keeps the query off the order-free route.
+  Result<Query> query = ParseQuery("exists x s r: B(x, s) & s < r", vocab);
   ASSERT_TRUE(query.ok());
   Result<PreparedQuery> plan = Prepare(vocab, query.value());
   ASSERT_TRUE(plan.ok());
@@ -145,6 +170,25 @@ TEST(PrepareTest, EngineClassificationNary) {
   Result<EntailResult> result = plan.value().Evaluate(db.value());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().engine_used, EngineKind::kBruteForce);
+}
+
+TEST(PrepareTest, EngineClassificationOrderFreeNary) {
+  auto vocab = std::make_shared<Vocabulary>();
+  Result<Database> db =
+      ParseDatabase("pred B(object, order)\nB(a, t1)\nt1 < t2", vocab);
+  ASSERT_TRUE(db.ok());
+  Result<Query> query = ParseQuery("exists x s: B(x, s)", vocab);
+  ASSERT_TRUE(query.ok());
+  Result<PreparedQuery> plan = Prepare(vocab, query.value());
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan.value().planned_engine(), EngineKind::kOrderFree);
+  ASSERT_EQ(plan.value().disjuncts().size(), 1u);
+  EXPECT_FALSE(plan.value().disjuncts()[0].monadic_order_only);
+  EXPECT_EQ(plan.value().disjuncts()[0].engine, EngineKind::kOrderFree);
+  Result<EntailResult> result = plan.value().Evaluate(db.value());
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.value().entailed);
+  EXPECT_EQ(result.value().engine_used, EngineKind::kOrderFree);
 }
 
 TEST(PrepareTest, ObjectSplitRecordedStatically) {
@@ -158,7 +202,9 @@ TEST(PrepareTest, ObjectSplitRecordedStatically) {
   )",
                                       vocab);
   ASSERT_TRUE(db.ok());
-  Result<Query> query = ParseQuery("exists x t: Person(x) & P(t)", vocab);
+  // The order atom keeps the order part off the order-free route.
+  Result<Query> query =
+      ParseQuery("exists x t r: Person(x) & P(t) & t < r", vocab);
   ASSERT_TRUE(query.ok());
   Result<PreparedQuery> plan = Prepare(vocab, query.value());
   ASSERT_TRUE(plan.ok());
@@ -174,6 +220,32 @@ TEST(PrepareTest, ObjectSplitRecordedStatically) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().entailed);
   EXPECT_EQ(result.value().engine_used, EngineKind::kBoundedWidth);
+}
+
+TEST(PrepareTest, ObjectSplitLeavesOrderFreePart) {
+  auto vocab = std::make_shared<Vocabulary>();
+  Result<Database> db = ParseDatabase(R"(
+    pred Person(object)
+    pred P(order)
+    Person(alice)
+    P(u)
+    u < v
+  )",
+                                      vocab);
+  ASSERT_TRUE(db.ok());
+  Result<Query> query = ParseQuery("exists x t: Person(x) & P(t)", vocab);
+  ASSERT_TRUE(query.ok());
+  Result<PreparedQuery> plan = Prepare(vocab, query.value());
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan.value().disjuncts().size(), 1u);
+  const DisjunctPlan& entry = plan.value().disjuncts()[0];
+  ASSERT_TRUE(entry.object_part.has_value());
+  EXPECT_TRUE(entry.order_free);
+  EXPECT_EQ(plan.value().planned_engine(), EngineKind::kOrderFree);
+  Result<EntailResult> result = plan.value().Evaluate(db.value());
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.value().entailed);
+  EXPECT_EQ(result.value().engine_used, EngineKind::kOrderFree);
 }
 
 TEST(PrepareTest, ExplainGoldenOutput) {

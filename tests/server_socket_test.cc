@@ -206,23 +206,41 @@ TEST(ServerSocketTest, PlanCacheKeepsRequestOptionsApart) {
     ASSERT_EQ(line.rfind("OK", 0), 0u) << line;
   }
 
-  EXPECT_EQ(client->RoundTrip("EVAL bin6 exists t0 t1: R(t0, t1) & P(t1)"),
-            "NOT ENTAILED  [engine: brute-force, cache: miss]");
+  // The order atoms keep these queries off the order-free route.
   EXPECT_EQ(client->RoundTrip(
-                "EVAL bin5 --countermodel exists t0 t1: R(t0, t1) & P(t1)"),
+                "EVAL bin6 exists t0 t1: R(t0, t1) & P(t1) & t0 < t1"),
+            "NOT ENTAILED  [engine: brute-force, cache: miss]");
+  EXPECT_EQ(client->RoundTrip("EVAL bin5 --countermodel exists t0 t1: "
+                              "R(t0, t1) & P(t1) & t0 < t1"),
             "NOT ENTAILED  [engine: brute-force, cache: miss]");
   ASSERT_TRUE(client->ReadLine(&line));
   EXPECT_EQ(line.rfind("countermodel: ", 0), 0u) << line;
 
   // A forced engine is never served the auto route's plan.
+  EXPECT_EQ(
+      client->RoundTrip("EVAL first exists t s: P0(t) & P1(t) & t < s"),
+      "ENTAILED  [engine: bounded-width, cache: miss]");
+  EXPECT_EQ(client->RoundTrip("EVAL first --engine=paths exists t s: "
+                              "P0(t) & P1(t) & t < s"),
+            "ENTAILED  [engine: path-decomposition, cache: miss]");
+  EXPECT_EQ(client->RoundTrip("EVAL first --engine=paths exists t s: "
+                              "P0(t) & P1(t) & t < s"),
+            "ENTAILED  [engine: path-decomposition, cache: hit]");
+
+  // Without order atoms the same shapes take the order-free route, and
+  // the countermodel request is again a plan of its own.
+  EXPECT_EQ(client->RoundTrip("EVAL bin6 exists t0 t1: R(t0, t1) & P(t1)"),
+            "NOT ENTAILED  [engine: order-free, cache: miss]");
+  EXPECT_EQ(client->RoundTrip(
+                "EVAL bin5 --countermodel exists t0 t1: R(t0, t1) & P(t1)"),
+            "NOT ENTAILED  [engine: order-free, cache: miss]");
+  ASSERT_TRUE(client->ReadLine(&line));
+  EXPECT_EQ(line.rfind("countermodel: ", 0), 0u) << line;
   EXPECT_EQ(client->RoundTrip("EVAL first exists t: P0(t) & P1(t)"),
-            "ENTAILED  [engine: bounded-width, cache: miss]");
+            "ENTAILED  [engine: order-free, cache: miss]");
   EXPECT_EQ(client->RoundTrip(
                 "EVAL first --engine=paths exists t: P0(t) & P1(t)"),
             "ENTAILED  [engine: path-decomposition, cache: miss]");
-  EXPECT_EQ(client->RoundTrip(
-                "EVAL first --engine=paths exists t: P0(t) & P1(t)"),
-            "ENTAILED  [engine: path-decomposition, cache: hit]");
   ASSERT_TRUE(client->Send("QUIT\n"));
   fixture.server->Stop();
 }

@@ -5,7 +5,7 @@
 //             [--db-snapshot=PATH]
 //             [--semantics=finite|integer|rational]
 //             [--engine=auto|brute-force|path-decomposition|bounded-width
-//                     |disjunctive-search]
+//                     |disjunctive-search|order-free]
 //             [--costing=on|off] [--countermodel] [--explain]
 //
 // Reads a database in the parser's text format from DB_FILE and evaluates

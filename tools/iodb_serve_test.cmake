@@ -29,8 +29,9 @@ EVAL base exists t1 t2: P(t1) & t1 < t2 & Q(t2)
 EVAL base exists t1 t2: Q(t1) & t1 < t2 & P(t2)
 BATCH 3
 base exists t1 t2: P(t1) & t1 < t2 & Q(t2)
-base exists t: P(t)
+base exists t s: P(t) & t < s
 nosuchdb exists t: P(t)
+EVAL base exists t: P(t)
 EVAL base --engine=brute-force exists t: P(t)
 FROBNICATE everything
 STATS
@@ -39,8 +40,9 @@ QUIT
 
 # The second EVAL of an identical request line is the plan-cache hit; the
 # BATCH reuses one cached plan (hit) and compiles one new one (miss); the
-# unknown database fails only its own slot; forcing a different engine is
-# a different plan key, so it misses. An unrecognized verb answers the
+# unknown database fails only its own slot; a query with no order atom
+# takes the order-free route; forcing a different engine is a different
+# plan key, so it misses. An unrecognized verb answers the
 # structured unknown-verb error and the session continues (the STATS
 # after it still runs).
 set(expected "OK db=base atoms=3
@@ -50,17 +52,18 @@ NOT ENTAILED  [engine: bounded-width, cache: miss]
 ENTAILED  [engine: bounded-width, cache: hit]
 ENTAILED  [engine: bounded-width, cache: miss]
 ERR INVALID_ARGUMENT: unknown database 'nosuchdb'
+ENTAILED  [engine: order-free, cache: miss]
 ENTAILED  [engine: brute-force, cache: miss]
 ERR unknown-verb 'FROBNICATE'
-requests              7
+requests              8
 batches               1
-plans-compiled        4
+plans-compiled        5
 databases             1
 publishes             1
 plan-cache-hits       2
-plan-cache-misses     4
+plan-cache-misses     5
 plan-cache-evictions  0
-plan-cache-entries    4
+plan-cache-entries    5
 plan-cache-capacity   128
 OK
 ")

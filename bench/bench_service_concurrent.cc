@@ -10,6 +10,8 @@
 // ranges report items_per_second aggregated across N benchmark threads;
 // compare 1 vs 4 vs 8 threads to see the scaling, and the
 // WithWriter variants against the read-only ones to see writer impact.
+// BM_ServiceFreshQueries sends a new query text per request through a
+// full plan cache, so every request compiles: the compile path's scaling.
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +21,7 @@
 #include <thread>
 
 #include "service/service.h"
+#include "util/random.h"
 
 namespace iodb {
 namespace {
@@ -129,6 +132,92 @@ void BM_ServerConcurrentReadsWithWriter(benchmark::State& state) {
 }
 BENCHMARK(BM_ServerConcurrentReadsWithWriter)->Threads(1)->Threads(4)
     ->Threads(8)->UseRealTime();
+
+// --- Compile scaling: a fresh query text per request ----------------------
+// Each request carries a text no earlier request used, shaped like the
+// wire benchmark's disjunctive requests: 2-3 one-variable disjuncts of
+// 2-3 labels over 16 predicates, on a width-4 database (4 strict chains
+// of 6 points, each point carrying each label with probability 1/4).
+// The plan cache is filled to capacity first, so the steady state is a
+// full cache meeting one-shot texts.
+
+constexpr int kLabels = 16;
+
+std::string WideDatabaseText() {
+  Rng rng(7);
+  std::string text;
+  for (int chain = 0; chain < 4; ++chain) {
+    for (int i = 0; i < 6; ++i) {
+      const std::string point =
+          "c" + std::to_string(chain) + "_" + std::to_string(i);
+      for (int label = 0; label < kLabels; ++label) {
+        if (rng.Bernoulli(0.25)) {
+          text += "L" + std::to_string(label) + "(" + point + ")\n";
+        }
+      }
+      if (i > 0) {
+        text += "c" + std::to_string(chain) + "_" + std::to_string(i - 1) +
+                " < " + point + "\n";
+      }
+    }
+  }
+  return text;
+}
+
+// A disjunctive text whose variable names carry `tag`, so texts with
+// distinct tags are distinct plan-cache keys.
+std::string FreshQueryText(Rng& rng, const std::string& tag) {
+  std::string text;
+  const int disjuncts = rng.UniformInt(2, 3);
+  for (int d = 0; d < disjuncts; ++d) {
+    const std::string var = "x" + tag + "_" + std::to_string(d);
+    text += d > 0 ? " | exists " : "exists ";
+    text += var + ": ";
+    const int labels = rng.UniformInt(2, 3);
+    for (int l = 0; l < labels; ++l) {
+      if (l > 0) text += " & ";
+      text += "L" + std::to_string(rng.Uniform(kLabels)) + "(" + var + ")";
+    }
+  }
+  return text;
+}
+
+void BM_ServiceFreshQueries(benchmark::State& state) {
+  static EvaluationService* service = nullptr;
+  if (state.thread_index() == 0) {
+    service = new EvaluationService();
+    Result<DbInfo> info = service->Load("wide", WideDatabaseText());
+    IODB_CHECK(info.ok());
+    Rng fill(1);
+    const size_t capacity = service->plan_cache().capacity();
+    for (size_t i = 0; i < capacity; ++i) {
+      EvalRequest request;
+      request.db = "wide";
+      request.query = FreshQueryText(fill, "f" + std::to_string(i));
+      IODB_CHECK(service->Eval(request).ok());
+    }
+    IODB_CHECK_EQ(service->plan_cache().stats().entries,
+                  static_cast<long long>(capacity));
+  }
+  Rng rng(static_cast<uint64_t>(state.thread_index()) + 100);
+  const std::string prefix = "t" + std::to_string(state.thread_index()) + "_";
+  EvalRequest request;
+  request.db = "wide";
+  long long i = 0;
+  for (auto _ : state) {
+    request.query = FreshQueryText(rng, prefix + std::to_string(i++));
+    Result<EvalResponse> response = service->Eval(request);
+    IODB_CHECK(response.ok());
+    benchmark::DoNotOptimize(response.value().entailed);
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) {
+    delete service;
+    service = nullptr;
+  }
+}
+BENCHMARK(BM_ServiceFreshQueries)->Threads(1)->Threads(2)->Threads(4)
+    ->UseRealTime();
 
 // --- Writer-side cost: a publish per mutation ------------------------------
 // The single-writer fork → apply → materialize → swap pipeline, alone:

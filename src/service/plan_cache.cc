@@ -1,6 +1,7 @@
 #include "service/plan_cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 
 #include "core/planner.h"
@@ -40,7 +41,12 @@ PlanCache::Route PlanCache::RouteOf(const EntailOptions& options) {
              : Route{false, 0};
 }
 
-PlanCache::PlanCache(size_t capacity) : capacity_(capacity) {
+PlanCache::PlanCache(size_t capacity)
+    : capacity_(capacity),
+      doorkeeper_mask_(
+          std::bit_ceil(std::min(capacity, kMaxDoorkeeperSlots / 8) * 8) - 1),
+      doorkeeper_(
+          std::make_unique<std::atomic<uint64_t>[]>(doorkeeper_mask_ + 1)) {
   IODB_CHECK_GT(capacity_, 0u);
 }
 
@@ -62,12 +68,27 @@ std::shared_ptr<const PreparedQuery> PlanCache::Get(
   return nullptr;
 }
 
+bool PlanCache::Admit(uint64_t vocab_uid, std::string_view query_text,
+                      const EntailOptions& options) {
+  const uint64_t hash = KeyHash{}(RefOf(vocab_uid, query_text, options));
+  const uint64_t previous = doorkeeper_[hash & doorkeeper_mask_].exchange(
+      hash, std::memory_order_relaxed);
+  if (entries_.load(std::memory_order_relaxed) < capacity_ ||
+      previous == hash) {
+    return true;
+  }
+  declined_.fetch_add(1, std::memory_order_relaxed);
+  return false;
+}
+
 std::shared_ptr<const PreparedQuery> PlanCache::Put(
     uint64_t vocab_uid, std::string_view query_text,
     const EntailOptions& options, std::shared_ptr<const PreparedQuery> plan,
     bool* added) {
   IODB_CHECK(plan != nullptr);
   const Route route = RouteOf(options);
+  // Declared before the lock, so the evicted plan is freed after unlock.
+  std::shared_ptr<const PreparedQuery> victim;
   std::scoped_lock lock(mu_);
   auto it = index_.find(RefOf(vocab_uid, query_text, options));
   if (it == index_.end()) {
@@ -110,12 +131,14 @@ std::shared_ptr<const PreparedQuery> PlanCache::Put(
   }
 
   // The new plan sits at the front, so eviction never reaches it (the
-  // capacity is positive) and `it` stays valid.
-  while (lru_.size() > capacity_) EvictOldest();
+  // capacity is positive) and `it` stays valid. A Put adds at most one
+  // plan, so at most one goes.
+  if (lru_.size() > capacity_) victim = EvictOldest();
+  entries_.store(lru_.size(), std::memory_order_relaxed);
   return target->plan;
 }
 
-void PlanCache::EvictOldest() {
+std::shared_ptr<const PreparedQuery> PlanCache::EvictOldest() {
   const Lru::iterator victim = std::prev(lru_.end());
   std::pair<const Key, KeyEntry>* owner = victim->owner;
   KeyEntry& entry = owner->second;
@@ -123,14 +146,17 @@ void PlanCache::EvictOldest() {
   std::erase_if(entry.routes,
                 [&](const auto& route) { return route.second == victim; });
   if (entry.plans.empty()) index_.erase(index_.find(owner->first));
+  std::shared_ptr<const PreparedQuery> plan = std::move(victim->plan);
   lru_.erase(victim);
   ++evictions_;
+  return plan;
 }
 
 void PlanCache::Clear() {
   std::scoped_lock lock(mu_);
   index_.clear();
   lru_.clear();
+  entries_.store(0, std::memory_order_relaxed);
 }
 
 std::vector<std::string> PlanCache::TextsByRecency() const {
@@ -147,6 +173,7 @@ PlanCacheStats PlanCache::stats() const {
   stats.hits = hits_;
   stats.misses = misses_;
   stats.evictions = evictions_;
+  stats.declined = declined_.load(std::memory_order_relaxed);
   stats.entries = static_cast<long long>(lru_.size());
   stats.capacity = static_cast<long long>(capacity_);
   return stats;

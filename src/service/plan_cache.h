@@ -24,13 +24,25 @@
 // miss — the caller runs Prepare once and Put() either files a new
 // distinct plan or routes the fingerprint to the equal plan it holds.
 //
+// Admission. Filing a plan in a full cache takes the mutex and evicts
+// (and frees) a plan some other request compiled. When most texts are
+// one-shot, that buys no hit and serializes the compile path across
+// threads. So the caller asks Admit() before Put(): while the cache has
+// room every plan is filed; once it is full, only a plan whose key's
+// previous miss is still recorded in the doorkeeper, a fixed array of
+// key hashes (as in TinyLFU). A declined plan is served unfiled and
+// freed when its request ends. A hash collision can only file a plan:
+// Get() still compares the exact key.
+//
 // Counting. Every Get() is one hit or one miss. The capacity, the entry
 // count and evictions count distinct plans; evicting a plan drops the
 // routes to it. Values are shared immutable plans: a returned shared_ptr
 // stays valid after its entry is evicted, so in-flight evaluations never
 // race an eviction.
 //
-// Thread-safe: all operations take an internal mutex. PreparedQuery's own
+// Thread-safe: Get, Put, Clear and the snapshots take an internal mutex;
+// Admit takes none (the doorkeeper and the entry count are atomics).
+// Evicted plans are freed after the mutex is released. PreparedQuery's own
 // evaluation caches are internally synchronized as well, so a cached plan
 // may be evaluated from many workers concurrently (against distinct
 // Database objects).
@@ -38,6 +50,7 @@
 #ifndef IODB_SERVICE_PLAN_CACHE_H_
 #define IODB_SERVICE_PLAN_CACHE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -57,6 +70,7 @@ struct PlanCacheStats {
   long long hits = 0;
   long long misses = 0;
   long long evictions = 0;
+  long long declined = 0;  // misses whose plan Admit() kept out
   long long entries = 0;   // distinct plans held
   long long capacity = 0;  // configured bound on distinct plans
 };
@@ -74,6 +88,14 @@ class PlanCache {
   std::shared_ptr<const PreparedQuery> Get(uint64_t vocab_uid,
                                            std::string_view query_text,
                                            const EntailOptions& options);
+
+  /// Records a miss of this key in the doorkeeper and says whether the
+  /// plan compiled for it should be filed with Put(): yes while the cache
+  /// has room, and once it is full only when the key's previous miss is
+  /// still recorded. A "no" is counted as declined; the caller serves
+  /// the plan unfiled.
+  bool Admit(uint64_t vocab_uid, std::string_view query_text,
+             const EntailOptions& options);
 
   /// Files `plan`, which Prepare() built from exactly these inputs, and
   /// returns the plan to serve them with. If a held plan under the same
@@ -162,10 +184,22 @@ class PlanCache {
     std::vector<std::pair<Route, Lru::iterator>> routes;  // oldest first
   };
 
-  // Removes the least recently used plan and every route to it.
-  void EvictOldest();
+  // Removes the least recently used plan and every route to it, and
+  // hands the plan back so the caller can free it after unlocking.
+  std::shared_ptr<const PreparedQuery> EvictOldest();
+
+  // Bound on doorkeeper slots (8 MiB), for very large capacities.
+  static constexpr size_t kMaxDoorkeeperSlots = size_t{1} << 20;
 
   const size_t capacity_;
+
+  // The doorkeeper: 8 slots per plan, rounded up to a power of two; a
+  // key's hash lives in the slot its low bits name.
+  const size_t doorkeeper_mask_;
+  const std::unique_ptr<std::atomic<uint64_t>[]> doorkeeper_;
+  // lru_.size(), written under mu_ and read without it by Admit().
+  std::atomic<size_t> entries_{0};
+  std::atomic<long long> declined_{0};
 
   mutable std::mutex mu_;
   Lru lru_;

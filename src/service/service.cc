@@ -40,6 +40,7 @@ std::string ServiceStats::ToString() const {
   out += line("plan-cache-hits", plan_cache.hits);
   out += line("plan-cache-misses", plan_cache.misses);
   out += line("plan-cache-evictions", plan_cache.evictions);
+  out += line("plan-cache-declined", plan_cache.declined);
   out += line("plan-cache-entries", plan_cache.entries);
   out += line("plan-cache-capacity", plan_cache.capacity);
   return out;
@@ -173,13 +174,20 @@ Result<std::shared_ptr<const PreparedQuery>> EvaluationService::PlanFor(
   if (!query.ok()) return query.status();
   Result<PreparedQuery> prepared = Prepare(vocab_, query.value(), options);
   if (!prepared.ok()) return prepared.status();
+  auto plan =
+      std::make_shared<const PreparedQuery>(std::move(prepared.value()));
+  // On a full cache a first-miss text is served unfiled: filing it would
+  // take the cache mutex and evict a plan for a text likely never seen
+  // again (PlanCache::Admit).
+  if (!plan_cache_.Admit(vocab_->uid(), query_text, options)) {
+    ++plans_compiled_;
+    return plan;
+  }
   bool added = false;
-  std::shared_ptr<const PreparedQuery> plan = plan_cache_.Put(
-      vocab_->uid(), query_text, options,
-      std::make_shared<const PreparedQuery>(std::move(prepared.value())),
-      &added);
+  std::shared_ptr<const PreparedQuery> served = plan_cache_.Put(
+      vocab_->uid(), query_text, options, std::move(plan), &added);
   if (added) ++plans_compiled_;
-  return plan;
+  return served;
 }
 
 EvalResponse EvaluationService::MakeResponse(const PreparedQuery& plan,

@@ -17,7 +17,9 @@
 //   * a bounded LRU plan cache (service/plan_cache.h), looked up by the
 //     raw query text and options before any parsing, that shares one
 //     compiled plan across every database whose cost model leads to the
-//     same plan, with hit/miss/eviction counters;
+//     same plan, with hit/miss/eviction counters; once full, it files
+//     only plans whose text missed before (one-shot texts are served
+//     unfiled);
 //   * batch scheduling onto the PR-3 worker pool
 //     (PreparedQuery::ParallelEvaluateBatch): a batch is grouped by
 //     compiled plan, a group fans its databases across the workers
@@ -95,9 +97,10 @@ struct ServiceStats {
   long long requests = 0;
   /// EvalBatch calls.
   long long batches = 0;
-  /// Distinct plans compiled into the plan cache. Every plan-cache miss
-  /// runs Prepare() once; a miss whose plan equals one already held
-  /// (same cost-plan outcome) shares that plan and is not counted here.
+  /// Distinct plans compiled and served. Every plan-cache miss runs
+  /// Prepare() once; a miss whose plan equals one already held (same
+  /// cost-plan outcome) shares that plan and is not counted here. A plan
+  /// the cache declined to file (plan_cache.declined) is counted.
   long long plans_compiled = 0;
   /// Registered databases.
   long long databases = 0;

@@ -1,8 +1,9 @@
 // Plan cache tests: LRU mechanics over distinct plans, exact keys (no
 // two request options ever share a plan), plan sharing across a fleet by
-// cost-plan outcome, revision-based invalidation through the service (a
-// mutated database must never be served from a stale derived structure),
-// and multi-threaded hammers that run under the TSan CI job.
+// cost-plan outcome, admission to a full cache, revision-based
+// invalidation through the service (a mutated database must never be
+// served from a stale derived structure), and multi-threaded hammers that
+// run under the TSan CI job.
 
 #include <gtest/gtest.h>
 
@@ -379,6 +380,106 @@ TEST(PlanSharingTest, SmallBatchGroupsAnswerAsSingleEvals) {
   EXPECT_TRUE(engines.count(EngineKind::kDisjunctiveSearch));
 }
 
+// --- admission -------------------------------------------------------------
+
+// "exists v<i>: P(v<i>)": a distinct text for every i, all one plan shape.
+std::string FreshText(int i) {
+  const std::string v = "v" + std::to_string(i);
+  return "exists " + v + ": P(" + v + ")";
+}
+
+// While the cache has room every miss is filed; once it is full, a key
+// is admitted only when its previous miss is still recorded.
+TEST(PlanAdmissionTest, AdmitFilesWhileRoomThenOnlyRepeatMisses) {
+  PlanSource source;
+  PlanCache cache(2);
+  const EntailOptions options;
+  for (int n : {1, 2}) {
+    EXPECT_TRUE(cache.Admit(source.uid(), PlanSource::Text(n), options));
+    cache.Put(source.uid(), PlanSource::Text(n), options, source.Plan(n));
+  }
+  EXPECT_FALSE(cache.Admit(source.uid(), PlanSource::Text(3), options));
+  EXPECT_FALSE(cache.Admit(source.uid(), PlanSource::Text(4), options));
+  EXPECT_TRUE(cache.Admit(source.uid(), PlanSource::Text(4), options));
+  EXPECT_EQ(cache.stats().declined, 2);
+  // Clear() makes room again.
+  cache.Clear();
+  EXPECT_TRUE(cache.Admit(source.uid(), PlanSource::Text(5), options));
+  EXPECT_EQ(cache.stats().declined, 2);
+}
+
+TEST(PlanAdmissionTest, FullCacheFilesAKeyOnlyOnItsSecondMiss) {
+  ServiceOptions options;
+  options.plan_cache_capacity = 2;
+  EvaluationService service(options);
+  ASSERT_TRUE(service.Load("db", FleetDb(6, false)).ok());
+
+  // With room, a first miss files as before.
+  for (int i : {0, 1}) {
+    Result<EvalResponse> response = service.Eval(Request("db", FreshText(i)));
+    ASSERT_TRUE(response.ok());
+    EXPECT_FALSE(response.value().plan_cache_hit);
+  }
+  const std::vector<std::string> full = {FreshText(1), FreshText(0)};
+  EXPECT_EQ(service.plan_cache().TextsByRecency(), full);
+  EXPECT_EQ(service.stats().plan_cache.declined, 0);
+
+  // Full: the first miss is served unfiled.
+  Result<EvalResponse> first = service.Eval(Request("db", FreshText(2)));
+  ASSERT_TRUE(first.ok());
+  EXPECT_TRUE(first.value().entailed);
+  EXPECT_FALSE(first.value().plan_cache_hit);
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.plan_cache.entries, 2);
+  EXPECT_EQ(stats.plan_cache.evictions, 0);
+  EXPECT_EQ(stats.plan_cache.declined, 1);
+  EXPECT_EQ(stats.plans_compiled, 3);
+  EXPECT_EQ(service.plan_cache().TextsByRecency(), full);
+
+  // The second miss files it and evicts the least recently used plan.
+  Result<EvalResponse> second = service.Eval(Request("db", FreshText(2)));
+  ASSERT_TRUE(second.ok());
+  EXPECT_FALSE(second.value().plan_cache_hit);
+  stats = service.stats();
+  EXPECT_EQ(stats.plan_cache.entries, 2);
+  EXPECT_EQ(stats.plan_cache.evictions, 1);
+  EXPECT_EQ(stats.plan_cache.declined, 1);
+  EXPECT_EQ(stats.plans_compiled, 4);
+  EXPECT_EQ(service.plan_cache().TextsByRecency(),
+            (std::vector<std::string>{FreshText(2), FreshText(1)}));
+
+  Result<EvalResponse> third = service.Eval(Request("db", FreshText(2)));
+  ASSERT_TRUE(third.ok());
+  EXPECT_TRUE(third.value().plan_cache_hit);
+}
+
+// A scan of one-shot texts through a full cache evicts nothing.
+TEST(PlanAdmissionTest, ScanOfFreshTextsKeepsTheHotPlans) {
+  ServiceOptions options;
+  options.plan_cache_capacity = 2;
+  EvaluationService service(options);
+  ASSERT_TRUE(service.Load("db", FleetDb(6, false)).ok());
+  const std::vector<std::string> hot = {"exists t: P(t)", "exists t: Q(t)"};
+  for (const std::string& text : hot) {
+    ASSERT_TRUE(service.Eval(Request("db", text)).ok());
+  }
+  constexpr int kFresh = 200;
+  for (int i = 0; i < kFresh; ++i) {
+    Result<EvalResponse> response = service.Eval(Request("db", FreshText(i)));
+    ASSERT_TRUE(response.ok());
+    EXPECT_TRUE(response.value().entailed);
+  }
+  for (const std::string& text : hot) {
+    Result<EvalResponse> response = service.Eval(Request("db", text));
+    ASSERT_TRUE(response.ok());
+    EXPECT_TRUE(response.value().plan_cache_hit) << text;
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.plan_cache.evictions, 0);
+  EXPECT_EQ(stats.plan_cache.declined, kFresh);
+  EXPECT_EQ(stats.plans_compiled, 2 + kFresh);
+}
+
 // --- invalidation ----------------------------------------------------------
 
 // Mutating a registered database must not serve a stale derived view.
@@ -636,6 +737,98 @@ TEST(PlanCacheTest, FleetHammerWithPublishesMatchesSerialVerdicts) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.plan_cache.hits + stats.plan_cache.misses,
             kReaders * kRequests);
+  EXPECT_GT(stats.plan_cache.hits, 0);
+}
+
+// Four threads send fresh and hot texts, single and batched, through a
+// full cache, so declined and filed plans of one text race. Every
+// verdict must equal a serial, cache-free evaluation.
+TEST(PlanAdmissionTest, FullCacheHammerMatchesSerialVerdicts) {
+  ServiceOptions options;
+  options.plan_cache_capacity = 4;
+  EvaluationService service(options);
+  constexpr int kDbs = 4;
+  constexpr int kThreads = 4;
+  constexpr int kRequests = 200;
+  for (int i = 0; i < kDbs; ++i) {
+    ASSERT_TRUE(
+        service.Load("db" + std::to_string(i), FleetDb(6 + i, i == 3)).ok());
+  }
+  const std::vector<std::string> hot = {
+      "exists t1 t2: P(t1) & t1 < t2 & Q(t2)",
+      "exists t: P(t) & Q(t) | exists t1 t2: Q(t1) & t1 < t2 & P(t2)",
+  };
+  // Fill the cache.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(service.Eval(Request("db0", FreshText(1000 + i))).ok());
+  }
+  ASSERT_EQ(service.stats().plan_cache.entries, 4);
+  // Fresh texts in three shapes; `tag` makes the variable names unique.
+  auto fresh = [](const std::string& tag, int shape) {
+    const std::string a = "a" + tag;
+    const std::string b = "b" + tag;
+    switch (shape) {
+      case 0:
+        return "exists " + a + ": P(" + a + ") & Q(" + a + ")";
+      case 1:
+        return "exists " + a + " " + b + ": Q(" + a + ") & " + a + " < " + b +
+               " & P(" + b + ")";
+      default:
+        return "exists " + a + ": Q(" + a + ") | exists " + b + ": P(" + b +
+               ") & Q(" + b + ")";
+    }
+  };
+
+  struct Seen {
+    std::string db;
+    std::string text;
+    bool entailed;
+  };
+  std::vector<std::vector<Seen>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t) + 11);
+      for (int i = 0; i < kRequests; ++i) {
+        const std::string db = "db" + std::to_string(rng.Uniform(kDbs));
+        const std::string text =
+            rng.Bernoulli(0.3)
+                ? hot[rng.Uniform(hot.size())]
+                : fresh(std::to_string(t) + "_" + std::to_string(i),
+                        static_cast<int>(rng.Uniform(3)));
+        if (i % 8 == 0) {
+          // The same text twice in one batch: a declined plan and the
+          // plan its second miss files may serve one batch.
+          const std::vector<EvalRequest> batch = {Request(db, text),
+                                                  Request(db, text)};
+          for (const Result<EvalResponse>& response :
+               service.EvalBatch(batch)) {
+            ASSERT_TRUE(response.ok()) << response.status().ToString();
+            seen[t].push_back({db, text, response.value().entailed});
+          }
+        } else {
+          Result<EvalResponse> response = service.Eval(Request(db, text));
+          ASSERT_TRUE(response.ok()) << response.status().ToString();
+          seen[t].push_back({db, text, response.value().entailed});
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (const std::vector<Seen>& list : seen) {
+    for (const Seen& s : list) {
+      Result<Query> query = ParseQuery(s.text, service.vocab());
+      ASSERT_TRUE(query.ok());
+      Result<EntailResult> serial =
+          Entails(*service.Snapshot(s.db), query.value());
+      ASSERT_TRUE(serial.ok());
+      EXPECT_EQ(s.entailed, serial.value().entailed) << s.db << ": " << s.text;
+    }
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_LE(stats.plan_cache.entries, 4);
+  EXPECT_GT(stats.plan_cache.declined, 0);
   EXPECT_GT(stats.plan_cache.hits, 0);
 }
 

@@ -512,8 +512,9 @@ int main(int argc, char** argv) {
                 Percentile(latencies_us, 0.99), latencies_us.back());
   }
   std::printf("plan cache: %lld hit(s), %lld miss(es), %lld eviction(s), "
-              "%lld compiled\n",
+              "%lld compiled, %lld declined\n",
               stats.plan_cache.hits, stats.plan_cache.misses,
-              stats.plan_cache.evictions, stats.plans_compiled);
+              stats.plan_cache.evictions, stats.plans_compiled,
+              stats.plan_cache.declined);
   return 0;
 }

@@ -63,6 +63,7 @@ publishes             1
 plan-cache-hits       2
 plan-cache-misses     5
 plan-cache-evictions  0
+plan-cache-declined   0
 plan-cache-entries    5
 plan-cache-capacity   128
 OK

@@ -9,16 +9,19 @@
 // transformed-db cache), so the gap isolates query-compilation cost —
 // constant elimination, inequality rewriting, normalization, the
 // rational-closure transform, the object/order split. The batch pair
-// additionally measures `EvaluateBatch` across many databases, and the
-// order-free pair compares two engines on the same prepared plans.
+// additionally measures `EvaluateBatch` across many databases, the
+// order-free pair compares two engines on the same prepared plans, and
+// BM_PrepareFresh times compilation alone on one-shot query texts.
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/parser.h"
 #include "core/prepare.h"
+#include "stats/stats.h"
 #include "util/random.h"
 #include "workload/generators.h"
 #include "workload/scenarios.h"
@@ -267,6 +270,78 @@ void BM_OrderFreeRoute(benchmark::State& state) {
                           static_cast<int64_t>(plans.size()));
 }
 BENCHMARK(BM_OrderFreeRoute)->Arg(0)->Arg(1);
+
+// --- Fresh compilation: Prepare alone over engine_mix-shaped texts --------
+// The expression-complexity regime: every request brings a new query, so
+// Prepare runs once per request. A pool of 4096 pre-parsed queries over
+// 16 labels is compiled in turn with the planner of a width-4 database
+// (4 chains x 6 points), as the service does on a plan-cache miss.
+// Arg 0: disjunctions of 2-3 one-variable disjuncts with 2-3 labels each
+// (order-free). Arg 1: conjuncts of 2-4 variables with 1-3 labels each,
+// linked into a chain-shaped order pattern. Arg 2: the arg-1 pool forced
+// to the path-decomposition engine.
+
+// A 2-4 variable conjunct: each t_i (i > 0) follows t_{i-1}, or now and
+// then an earlier variable, by "<" or "<=".
+void AddChainConjunct(Query& query, Rng& rng) {
+  QueryConjunct& conjunct = query.AddDisjunct();
+  const int vars = rng.UniformInt(2, 4);
+  for (int i = 0; i < vars; ++i) {
+    const std::string var = "t" + std::to_string(i);
+    conjunct.Exists(var);
+    for (int l = rng.UniformInt(1, 3); l > 0; --l) {
+      conjunct.Atom("P" + std::to_string(rng.UniformInt(0, 15)), {var});
+    }
+    if (i > 0) {
+      const int parent = rng.Bernoulli(0.75) ? i - 1 : rng.UniformInt(0, i - 1);
+      conjunct.Order("t" + std::to_string(parent),
+                     rng.Bernoulli(0.6) ? OrderRel::kLt : OrderRel::kLe, var);
+    }
+  }
+}
+
+void BM_PrepareFresh(benchmark::State& state) {
+  auto vocab = std::make_shared<Vocabulary>();
+  Rng rng(2026);
+  MonadicDbParams params;
+  params.num_chains = 4;
+  params.chain_length = 6;
+  params.num_predicates = 16;
+  params.label_probability = 0.25;
+  const Database db = RandomMonadicDb(params, vocab, rng);
+
+  const int shape = static_cast<int>(state.range(0));
+  EntailOptions options;
+  options.planner = stats::PlannerFor(db);
+  if (shape == 2) options.engine = EngineKind::kPathDecomposition;
+  state.SetLabel(shape == 0 ? "order-free" : shape == 1 ? "chain" : "paths");
+  constexpr size_t kPool = 4096;
+  std::vector<Query> pool;
+  pool.reserve(kPool);
+  for (size_t q = 0; q < kPool; ++q) {
+    Query query(vocab);
+    if (shape == 0) {
+      for (int d = rng.UniformInt(2, 3); d > 0; --d) {
+        QueryConjunct& conjunct = query.AddDisjunct().Exists("t");
+        for (int l = rng.UniformInt(2, 3); l > 0; --l) {
+          conjunct.Atom("P" + std::to_string(rng.UniformInt(0, 15)), {"t"});
+        }
+      }
+    } else {
+      AddChainConjunct(query, rng);
+    }
+    pool.push_back(std::move(query));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    Result<PreparedQuery> plan = Prepare(vocab, pool[next], options);
+    IODB_CHECK(plan.ok());
+    benchmark::DoNotOptimize(plan.value().planned_engine());
+    next = (next + 1) % kPool;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PrepareFresh)->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace
 }  // namespace iodb

@@ -66,10 +66,10 @@ struct SplitConjunct {
   std::optional<NormConjunct> object_part;
 };
 
-SplitConjunct SplitObjectComponents(const NormConjunct& conjunct) {
+SplitConjunct SplitObjectComponents(NormConjunct conjunct) {
   const int nv = conjunct.num_order_vars();
   const int no = conjunct.num_object_vars();
-  if (no == 0) return {conjunct, std::nullopt};  // nothing to split
+  if (no == 0) return {std::move(conjunct), std::nullopt};  // nothing to split
 
   UnionFind uf(nv + no);
   auto node = [&](const Term& term) {
@@ -86,38 +86,36 @@ SplitConjunct SplitObjectComponents(const NormConjunct& conjunct) {
   std::vector<bool> component_has_order(nv + no, false);
   for (int t = 0; t < nv; ++t) component_has_order[uf.Find(t)] = true;
 
-  // Build the object-only sub-conjunct and the reduced conjunct.
+  // Build the object-only sub-conjunct and the reduced conjunct; the
+  // reduced one takes over the order side of `conjunct`.
+  std::vector<std::string> object_var_names =
+      std::move(conjunct.object_var_names);
+  std::vector<ProperAtom> other_atoms = std::move(conjunct.other_atoms);
   NormConjunct object_part;
-  NormConjunct reduced = conjunct;
+  NormConjunct reduced = std::move(conjunct);
   reduced.object_var_names.clear();
   reduced.other_atoms.clear();
   std::vector<int> remap(no, -1);
+  std::vector<int> object_remap(no, -1);
   for (int x = 0; x < no; ++x) {
     if (component_has_order[uf.Find(nv + x)]) {
-      remap[x] = static_cast<int>(reduced.object_var_names.size());
-      reduced.object_var_names.push_back(conjunct.object_var_names[x]);
+      remap[x] = reduced.num_object_vars();
+      reduced.object_var_names.push_back(std::move(object_var_names[x]));
     } else {
-      object_part.object_var_names.push_back(conjunct.object_var_names[x]);
+      object_remap[x] = object_part.num_object_vars();
+      object_part.object_var_names.push_back(std::move(object_var_names[x]));
     }
   }
-  std::vector<int> object_remap(no, -1);
-  {
-    int next = 0;
-    for (int x = 0; x < no; ++x) {
-      if (remap[x] == -1) object_remap[x] = next++;
-    }
-  }
-  for (const ProperAtom& atom : conjunct.other_atoms) {
+  for (ProperAtom& atom : other_atoms) {
     bool order_side = component_has_order[uf.Find(node(atom.args[0]))];
-    ProperAtom mapped = atom;
-    for (Term& term : mapped.args) {
+    for (Term& term : atom.args) {
       if (term.sort == Sort::kObject) {
         term.id = order_side ? remap[term.id] : object_remap[term.id];
         IODB_CHECK_NE(term.id, -1);
       }
     }
     (order_side ? reduced.other_atoms : object_part.other_atoms)
-        .push_back(std::move(mapped));
+        .push_back(std::move(atom));
   }
 
   if (object_part.num_object_vars() > 0 || !object_part.other_atoms.empty()) {
@@ -210,14 +208,16 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
   plan.options_ = options;
 
   // Pass 1: constant elimination (query side; the marker facts are
-  // recorded for evaluation-time injection).
-  Query working_query = query;
+  // recorded for evaluation-time injection). Passes 1-2 read the caller's
+  // query in place and own a rewritten one only when a pass produced it.
+  const Query* working_query = &query;
+  std::optional<Query> rewritten_query;
   {
     PassRecord record{QueryPassId::kConstantElimination, false, ""};
     if (query.HasConstants()) {
       Result<ConstantShift> shift = ShiftConstants(query);
       if (!shift.ok()) return shift.status();
-      working_query = std::move(shift.value().query);
+      working_query = &rewritten_query.emplace(std::move(shift.value().query));
       plan.markers_ = std::move(shift.value().markers);
       record.applied = true;
       record.detail = Plural(plan.markers_.size(), "constant") +
@@ -234,19 +234,20 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
   {
     PassRecord record{QueryPassId::kInequalityRewrite, false, ""};
     bool has_inequalities = false;
-    for (const QueryConjunct& conjunct : working_query.disjuncts()) {
+    for (const QueryConjunct& conjunct : working_query->disjuncts()) {
       if (!conjunct.inequalities.empty()) has_inequalities = true;
     }
     if (has_inequalities) {
-      Result<Query> rewritten =
-          RewriteInequalities(working_query, options.max_rewritten_disjuncts);
+      Result<Query> rewritten = RewriteInequalities(
+          *working_query, options.max_rewritten_disjuncts);
       if (rewritten.ok()) {
         record.applied = true;
-        record.detail = Plural(working_query.disjuncts().size(), "disjunct") +
+        record.detail = Plural(working_query->disjuncts().size(), "disjunct") +
                         " -> " +
                         Plural(rewritten.value().disjuncts().size(),
                                "disjunct");
-        working_query = std::move(rewritten.value());
+        working_query =
+            &rewritten_query.emplace(std::move(rewritten.value()));
       } else if (options.semantics != OrderSemantics::kFinite) {
         return rewritten.status();  // transforms below need "!="-free queries
       } else {
@@ -262,8 +263,8 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
   // Pass 3: normalization (rules N1/N2, dag + label views).
   NormQuery effective_query;
   {
-    const size_t surface_disjuncts = working_query.disjuncts().size();
-    Result<NormQuery> norm_query = NormalizeQuery(working_query);
+    const size_t surface_disjuncts = working_query->disjuncts().size();
+    Result<NormQuery> norm_query = NormalizeQuery(*working_query);
     if (!norm_query.ok()) return norm_query.status();
     effective_query = std::move(norm_query.value());
     PassRecord record{QueryPassId::kNormalize, true, ""};
@@ -302,15 +303,15 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
   // evaluation-time half).
   {
     size_t with_object_part = 0;
+    plan.disjuncts_.reserve(effective_query.disjuncts.size());
     for (NormConjunct& conjunct : effective_query.disjuncts) {
-      SplitConjunct split = SplitObjectComponents(conjunct);
+      SplitConjunct split = SplitObjectComponents(std::move(conjunct));
       DisjunctPlan entry;
       entry.reduced = std::move(split.reduced);
       entry.object_part = std::move(split.object_part);
-      // Memoized evaluation artifacts: the monadic engines' transitive
-      // reduction and the brute-force matcher's variable-order schedule
-      // are computed once here, never per evaluation.
-      entry.reduced_transitive = TransitiveReduceConjunct(entry.reduced);
+      // The brute-force matcher's variable-order schedule is memoized
+      // here, never computed per evaluation (the cost-plan pass may
+      // replace it).
       entry.compiled = CompileConjunct(entry.reduced);
       if (entry.object_part.has_value()) ++with_object_part;
       plan.disjuncts_.push_back(std::move(entry));
@@ -371,12 +372,17 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
       record.detail = "no disjuncts to cost";
     } else {
       outcome.schedules.resize(plan.disjuncts_.size());
+      // The planner reads the conjuncts by const reference, so they move
+      // into its input and straight back.
       std::vector<NormConjunct> reduced;
       reduced.reserve(plan.disjuncts_.size());
-      for (const DisjunctPlan& entry : plan.disjuncts_) {
-        reduced.push_back(entry.reduced);
+      for (DisjunctPlan& entry : plan.disjuncts_) {
+        reduced.push_back(std::move(entry.reduced));
       }
       QueryPlanChoice choice = planner->PlanQuery(reduced);
+      for (size_t i = 0; i < plan.disjuncts_.size(); ++i) {
+        plan.disjuncts_[i].reduced = std::move(reduced[i]);
+      }
 
       // Per-disjunct schedules: accept only valid linear extensions
       // that differ from the default topological order.
@@ -451,29 +457,55 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
     plan.passes_.push_back(std::move(record));
   }
 
+  // The monadic automata engines (bounded width, path decomposition,
+  // disjunctive search) read the transitive reductions, and only of
+  // monadic disjuncts. A forced brute-force or order-free engine never
+  // dispatches to them, and neither does kAuto when every disjunct is
+  // order-free (that route outranks every other), so those plans skip
+  // the reduction.
+  const EngineKind forced = options.engine;
+  const bool automata_route =
+      forced == EngineKind::kBoundedWidth ||
+      forced == EngineKind::kPathDecomposition ||
+      forced == EngineKind::kDisjunctiveSearch ||
+      (forced == EngineKind::kAuto &&
+       plan.planned_engine_ != EngineKind::kOrderFree);
+  bool all_monadic = true;
+  bool any_object_part = false;
+  for (DisjunctPlan& entry : plan.disjuncts_) {
+    if (automata_route && entry.monadic_order_only) {
+      entry.reduced_transitive = TransitiveReduceConjunct(entry.reduced);
+    }
+    all_monadic = all_monadic && entry.monadic_order_only;
+    any_object_part = any_object_part || entry.object_part.has_value();
+  }
+
   // With no object parts, ground-fact filtering never drops a disjunct,
   // so the assembled query is database-independent: build it once here
   // and let every evaluation borrow it.
-  bool any_object_part = false;
-  for (const DisjunctPlan& entry : plan.disjuncts_) {
-    any_object_part = any_object_part || entry.object_part.has_value();
-  }
   if (!any_object_part) {
     NormQuery split_query;
     split_query.vocab = plan.vocab_;
     split_query.trivially_true = plan.trivially_true_;
-    NormQuery reduced_query;
-    reduced_query.vocab = plan.vocab_;
+    split_query.disjuncts.reserve(plan.disjuncts_.size());
+    plan.static_plan_index_.reserve(plan.disjuncts_.size());
     for (const DisjunctPlan& entry : plan.disjuncts_) {
       if (entry.reduced.IsEmpty()) split_query.trivially_true = true;
       split_query.disjuncts.push_back(entry.reduced);
-      reduced_query.disjuncts.push_back(entry.reduced_transitive);
       plan.static_plan_index_.push_back(
           static_cast<int>(plan.static_plan_index_.size()));
     }
-    reduced_query.trivially_true = split_query.trivially_true;
+    if (automata_route && all_monadic) {
+      NormQuery reduced_query;
+      reduced_query.vocab = plan.vocab_;
+      reduced_query.trivially_true = split_query.trivially_true;
+      reduced_query.disjuncts.reserve(plan.disjuncts_.size());
+      for (const DisjunctPlan& entry : plan.disjuncts_) {
+        reduced_query.disjuncts.push_back(entry.reduced_transitive);
+      }
+      plan.static_reduced_split_ = std::move(reduced_query);
+    }
     plan.static_split_ = std::move(split_query);
-    plan.static_reduced_split_ = std::move(reduced_query);
   }
 
   return plan;
@@ -885,26 +917,17 @@ Result<long long> PreparedQuery::EnumerateCountermodels(
 
   long long reported = 0;
   if (split_query.IsMonadicOrderOnly() && !split_query.disjuncts.empty()) {
+    // The engine reduces the disjuncts itself: enumeration is rare, and
+    // plans on routes that never reach the automata do not memoize the
+    // reductions.
     DisjunctiveOptions engine_options;
-    engine_options.already_reduced = true;
     engine_options.budget = budget;
     engine_options.on_countermodel = [&](const FiniteModel& model) {
       ++reported;
       return on_countermodel(model);
     };
-    DisjunctiveOutcome outcome;
-    if (static_reduced_split_.has_value()) {
-      outcome = EntailDisjunctive(ndb, *static_reduced_split_,
-                                  engine_options);
-    } else {
-      NormQuery reduced_query;
-      reduced_query.vocab = vocab_;
-      for (int idx : plan_index) {
-        reduced_query.disjuncts.push_back(
-            disjuncts_[idx].reduced_transitive);
-      }
-      outcome = EntailDisjunctive(ndb, reduced_query, engine_options);
-    }
+    const DisjunctiveOutcome outcome =
+        EntailDisjunctive(ndb, split_query, engine_options);
     if (outcome.exhausted) {
       EntailResult partial;
       partial.states_visited = outcome.states_visited;

@@ -25,6 +25,12 @@
 //                          and suggest an engine route — all advisory,
 //                          never verdict-changing
 //
+// Each pass does its work once: passes 1-2 read the caller's query in
+// place (a new surface query exists only when a pass rewrote it), the
+// disjuncts move from pass to pass rather than being copied, and the
+// monadic automata artifacts (transitive reductions) are built only for
+// plans that can dispatch to an automata engine.
+//
 // The resulting `PreparedQuery` is an inspectable plan: `Evaluate(db)`
 // finishes the cheap database-dependent work (memoized normalization via
 // Database::NormView, ground-fact filtering, dispatch), `EvaluateBatch`
@@ -88,6 +94,10 @@ struct DisjunctPlan {
   NormConjunct reduced;
   /// `reduced` after labelled transitive reduction, memoized here so the
   /// monadic automata engines never pay the reduction per evaluation.
+  /// Built only for a monadic disjunct of a plan that can dispatch to
+  /// bounded width, path decomposition or disjunctive search: under a
+  /// forced one of those engines, or under kAuto unless every disjunct
+  /// is order-free. Otherwise it stays empty (no order variables).
   NormConjunct reduced_transitive;
   /// The memoized model-check schedule of `reduced` (topological variable
   /// order, constraint/atom schedules) for the brute-force matcher: the
@@ -325,7 +335,9 @@ class PreparedQuery {
   // second copy of the reduced conjuncts: plan-sized memory traded for
   // evaluation-path speed. static_reduced_split_ is the same query with
   // the memoized transitive-reduced disjuncts, handed to the disjunctive
-  // automata engine. Both share static_plan_index_ (identity).
+  // automata engine; it is built only when every disjunct has its
+  // reduced_transitive (see DisjunctPlan). Both share static_plan_index_
+  // (identity).
   std::optional<NormQuery> static_split_;
   std::optional<NormQuery> static_reduced_split_;
   std::vector<int> static_plan_index_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -149,7 +150,11 @@ bool NormConjunct::IsTight() const {
   return true;
 }
 
-int NormConjunct::Width() const { return DagWidth(dag); }
+int NormConjunct::Width() const {
+  // With no order atom every variable is its own chain.
+  if (dag.num_edges() == 0) return dag.num_vertices();
+  return DagWidth(dag);
+}
 
 bool NormQuery::IsMonadicOrderOnly() const {
   for (const NormConjunct& conjunct : disjuncts) {
@@ -188,10 +193,19 @@ struct VarInfo {
   int id = -1;  // id within its sort, pre-merging
 };
 
+// A proper atom's predicate, looked up once. The pointer is stable:
+// Vocabulary::predicate() references survive later registrations.
+struct ResolvedPredicate {
+  int id;
+  const PredicateInfo* info;
+};
+
 // Resolves the sort of every variable of `conjunct`, or fails on
-// conflicts / constants / unknown predicates.
+// conflicts / constants / unknown predicates. `preds` receives the
+// predicate of each proper atom, in order.
 Status ResolveSorts(const Vocabulary& vocab, const QueryConjunct& conjunct,
-                    std::map<std::string, VarInfo>& vars) {
+                    std::map<std::string, VarInfo>& vars,
+                    std::vector<ResolvedPredicate>& preds) {
   for (const std::string& v : conjunct.variables) vars[v];
 
   auto require_var = [&](const QueryTerm& term) -> Status {
@@ -239,6 +253,7 @@ Status ResolveSorts(const Vocabulary& vocab, const QueryConjunct& conjunct,
       return Status::InvalidArgument("arity mismatch for '" + atom.pred +
                                      "' in query");
     }
+    preds.push_back({*pred, &info});
     for (int i = 0; i < info.arity(); ++i) {
       Status s = require_var(atom.args[i]);
       if (!s.ok()) return s;
@@ -259,7 +274,9 @@ Status ResolveSorts(const Vocabulary& vocab, const QueryConjunct& conjunct,
 Result<std::optional<NormConjunct>> NormalizeConjunct(
     const Vocabulary& vocab, const QueryConjunct& conjunct) {
   std::map<std::string, VarInfo> vars;
-  Status s = ResolveSorts(vocab, conjunct, vars);
+  std::vector<ResolvedPredicate> preds;
+  preds.reserve(conjunct.proper_atoms.size());
+  Status s = ResolveSorts(vocab, conjunct, vars, preds);
   if (!s.ok()) return s;
 
   // Assign pre-merge ids.
@@ -274,22 +291,30 @@ Result<std::optional<NormConjunct>> NormalizeConjunct(
     }
   }
 
-  // Rule N1 on the order variables.
-  Digraph raw(static_cast<int>(order_names.size()));
-  for (const QueryOrderAtom& atom : conjunct.order_atoms) {
-    raw.AddEdge(vars[atom.lhs.name].id, vars[atom.rhs.name].id, atom.rel);
-  }
-  SccResult scc = StronglyConnectedComponents(raw);
-  for (const QueryOrderAtom& atom : conjunct.order_atoms) {
-    if (scc.component[vars[atom.lhs.name].id] ==
-            scc.component[vars[atom.rhs.name].id] &&
-        atom.rel == OrderRel::kLt) {
-      return std::optional<NormConjunct>();  // inconsistent disjunct
+  // Rule N1 on the order variables. With no order atom every variable is
+  // its own component, numbered as Tarjan numbers isolated vertices.
+  SccResult scc;
+  if (conjunct.order_atoms.empty()) {
+    scc.num_components = static_cast<int>(order_names.size());
+    scc.component.resize(order_names.size());
+    std::iota(scc.component.begin(), scc.component.end(), 0);
+  } else {
+    Digraph raw(static_cast<int>(order_names.size()));
+    for (const QueryOrderAtom& atom : conjunct.order_atoms) {
+      raw.AddEdge(vars[atom.lhs.name].id, vars[atom.rhs.name].id, atom.rel);
+    }
+    scc = StronglyConnectedComponents(raw);
+    for (const QueryOrderAtom& atom : conjunct.order_atoms) {
+      if (scc.component[vars[atom.lhs.name].id] ==
+              scc.component[vars[atom.rhs.name].id] &&
+          atom.rel == OrderRel::kLt) {
+        return std::optional<NormConjunct>();  // inconsistent disjunct
+      }
     }
   }
 
   NormConjunct norm;
-  norm.object_var_names = object_names;
+  norm.object_var_names = std::move(object_names);
   std::vector<int> var_of_component(scc.num_components, -1);
   std::vector<int> canonical(order_names.size());
   for (size_t v = 0; v < order_names.size(); ++v) {
@@ -318,9 +343,10 @@ Result<std::optional<NormConjunct>> NormalizeConjunct(
   }
 
   // Proper atoms.
-  for (const QueryProperAtom& atom : conjunct.proper_atoms) {
-    int pred = *vocab.FindPredicate(atom.pred);
-    const PredicateInfo& info = vocab.predicate(pred);
+  for (size_t a = 0; a < conjunct.proper_atoms.size(); ++a) {
+    const QueryProperAtom& atom = conjunct.proper_atoms[a];
+    const int pred = preds[a].id;
+    const PredicateInfo& info = *preds[a].info;
     if (info.IsMonadicOrder()) {
       norm.labels[canonical[vars[atom.args[0].name].id]].Add(pred);
       continue;
@@ -351,7 +377,7 @@ Result<std::optional<NormConjunct>> NormalizeConjunct(
     }
   }
 
-  IODB_CHECK(!HasCycle(norm.dag));
+  IODB_CHECK(norm.dag.num_edges() == 0 || !HasCycle(norm.dag));
   return std::optional<NormConjunct>(std::move(norm));
 }
 
@@ -360,6 +386,7 @@ Result<std::optional<NormConjunct>> NormalizeConjunct(
 Result<NormQuery> NormalizeQuery(const Query& query) {
   NormQuery norm;
   norm.vocab = query.vocab();
+  norm.disjuncts.reserve(query.disjuncts().size());
   for (const QueryConjunct& conjunct : query.disjuncts()) {
     Result<std::optional<NormConjunct>> result =
         NormalizeConjunct(*query.vocab(), conjunct);

@@ -43,7 +43,7 @@ Vocabulary& Vocabulary::operator=(const Vocabulary& other) {
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
   // The predicate table changes meaning, so this object is a new identity.
-  uid_ = NextVocabularyUid();
+  uid_.store(NextVocabularyUid(), std::memory_order_release);
   predicates_ = std::move(predicates);
   index_ = std::move(index);
   return *this;
@@ -76,10 +76,7 @@ int Vocabulary::MustAddPredicate(const std::string& name,
 }
 
 void Vocabulary::RestoreUid(uint64_t uid) {
-  {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    uid_ = uid;
-  }
+  uid_.store(uid, std::memory_order_release);
   // Advance the counter to at least `uid` so no later-constructed
   // vocabulary is handed the restored identity.
   std::atomic<uint64_t>& counter = VocabularyUidCounter();

@@ -6,6 +6,7 @@
 #ifndef IODB_CORE_TYPES_H_
 #define IODB_CORE_TYPES_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -61,11 +62,9 @@ class Vocabulary {
   /// fingerprint) never confuse plans compiled against different
   /// vocabularies. Predicate registration does NOT change the uid:
   /// registering new predicates only extends the id space, it never
-  /// re-means an existing id.
-  uint64_t uid() const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return uid_;
-  }
+  /// re-means an existing id. Lock-free: the service reads it on every
+  /// request.
+  uint64_t uid() const { return uid_.load(std::memory_order_acquire); }
 
   /// Registers `name` with the given signature, or returns the existing id.
   /// Fails (via Result) if `name` exists with a different signature.
@@ -103,11 +102,12 @@ class Vocabulary {
   bool AllMonadicOrder() const;
 
  private:
-  // Guards every member. A deque (not vector) holds the predicates so
-  // references handed out by predicate() never move under a concurrent
-  // registration's growth.
+  // Guards every member but uid_. A deque (not vector) holds the
+  // predicates so references handed out by predicate() never move under a
+  // concurrent registration's growth.
   mutable std::shared_mutex mu_;
-  uint64_t uid_;
+  // Changes only at construction, assignment and RestoreUid.
+  std::atomic<uint64_t> uid_;
   std::deque<PredicateInfo> predicates_;
   std::unordered_map<std::string, int> index_;
 };

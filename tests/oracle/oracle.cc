@@ -104,11 +104,20 @@ struct Decider {
   std::vector<Conjunct> query;
   int num_blocks = 0;
   std::vector<int> block;   // order constant -> its block
-  std::vector<int> value;   // variable -> block or object constant
+  std::vector<int> value;   // variable -> point or object constant
+  // Padding: `pad` points below the first block and above the last, `gap`
+  // points between two blocks. The points are numbered in order.
+  int pad = 0;
+  int gap = 0;
+
+  int Point(int b) const { return pad + b * (gap + 1); }
+  int NumPoints() const {
+    return num_blocks == 0 ? 2 * pad : Point(num_blocks - 1) + 1 + pad;
+  }
 
   int Value(const Arg& arg) const {
     if (arg.var >= 0) return value[arg.var];
-    return arg.sort == Sort::kOrder ? block[arg.id] : arg.id;
+    return arg.sort == Sort::kOrder ? Point(block[arg.id]) : arg.id;
   }
 
   bool Holds(const Atom& atom) const {
@@ -122,7 +131,7 @@ struct Decider {
       bool match = true;
       for (size_t i = 0; i < fact.args.size() && match; ++i) {
         const Term& t = fact.args[i];
-        int image = t.sort == Sort::kOrder ? block[t.id] : t.id;
+        int image = t.sort == Sort::kOrder ? Point(block[t.id]) : t.id;
         match = image == Value(atom.args[i]);
       }
       if (match) return true;
@@ -138,7 +147,7 @@ struct Decider {
     }
     if (var == static_cast<int>(c.var_sorts.size())) return true;
     const int domain = c.var_sorts[var] == Sort::kOrder
-                           ? num_blocks
+                           ? NumPoints()
                            : db.num_object_constants();
     for (int x = 0; x < domain; ++x) {
       value[var] = x;
@@ -158,7 +167,8 @@ struct Decider {
 
 }  // namespace
 
-Result<Verdict> Decide(const Database& db, const Query& query) {
+Result<Verdict> Decide(const Database& db, const Query& query,
+                       OrderSemantics semantics) {
   const int n = db.num_order_constants();
   if (n > kMaxOrderConstants) {
     return Status::ResourceExhausted("oracle: more than " +
@@ -166,11 +176,17 @@ Result<Verdict> Decide(const Database& db, const Query& query) {
                                      " order constants");
   }
   Decider d{db, {}, 0, std::vector<int>(n, 0), {}};
+  int m = 0;  // the most order variables in one disjunct
   for (const QueryConjunct& surface : query.disjuncts()) {
     Result<Conjunct> c = Resolve(db, surface);
     if (!c.ok()) return c.status();
+    m = std::max(m, static_cast<int>(std::count(c.value().var_sorts.begin(),
+                                                c.value().var_sorts.end(),
+                                                Sort::kOrder)));
     d.query.push_back(std::move(c.value()));
   }
+  if (semantics != OrderSemantics::kFinite) d.pad = m;
+  if (semantics == OrderSemantics::kRational) d.gap = m;
   // Per constant: the constants that must sit in an earlier block ("<"),
   // in an earlier or the same block ("<="), and in a different one ("!=").
   std::vector<uint32_t> before(n, 0), not_after(n, 0), apart(n, 0);

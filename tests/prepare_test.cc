@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/engine.h"
@@ -510,6 +512,109 @@ TEST(PrepareTest, TransformedPlansCachePerDatabaseRevision) {
   Result<EntailResult> after_mutation = plan2.Evaluate(db);
   ASSERT_TRUE(after_mutation.ok());
   EXPECT_TRUE(after_mutation.value().entailed);
+}
+
+// A random order-free monadic query over P0..P{num_predicates-1}: 1-3
+// disjuncts of 1-2 variables with 1-2 labels each, and no order atom.
+Query RandomOrderFreeMonadicQuery(int num_predicates, const VocabularyPtr& vocab,
+                                  Rng& rng) {
+  Query query(vocab);
+  for (int d = rng.UniformInt(1, 3); d > 0; --d) {
+    QueryConjunct& conjunct = query.AddDisjunct();
+    for (int v = rng.UniformInt(1, 2); v > 0; --v) {
+      const std::string var = "t" + std::to_string(v);
+      conjunct.Exists(var);
+      for (int l = rng.UniformInt(1, 2); l > 0; --l) {
+        conjunct.Atom("P" + std::to_string(rng.UniformInt(
+                                0, num_predicates - 1)),
+                      {var});
+      }
+    }
+  }
+  return query;
+}
+
+// Every countermodel string of `plan` against `db`, sorted.
+std::vector<std::string> CountermodelStrings(const PreparedQuery& plan,
+                                             const Database& db,
+                                             long long* count) {
+  std::vector<std::string> models;
+  Result<long long> reported =
+      plan.EnumerateCountermodels(db, [&](const FiniteModel& model) {
+        models.push_back(model.ToString());
+        return true;
+      });
+  IODB_CHECK(reported.ok());
+  *count = reported.value();
+  std::sort(models.begin(), models.end());
+  return models;
+}
+
+TEST(PrepareTest, OrderFreePlanCountermodelsMatchTheDisjunctiveSearch) {
+  // An order-free kAuto plan memoizes no transitive reduction, so its
+  // enumeration reduces the disjuncts itself; it must report what the
+  // same query forced to the disjunctive search (which memoizes them)
+  // reports.
+  auto vocab = std::make_shared<Vocabulary>();
+  Rng rng(1812);
+  MonadicDbParams params;
+  params.num_chains = 2;
+  params.chain_length = 3;
+  params.num_predicates = 3;
+  const Database db = RandomMonadicDb(params, vocab, rng);
+  EntailOptions forced;
+  forced.engine = EngineKind::kDisjunctiveSearch;
+  long long total = 0;
+  for (int i = 0; i < 50; ++i) {
+    const Query query =
+        RandomOrderFreeMonadicQuery(params.num_predicates, vocab, rng);
+    const PreparedQuery lean = MustPrepare(vocab, query);
+    const PreparedQuery full = MustPrepare(vocab, query, forced);
+    ASSERT_EQ(lean.planned_engine(), EngineKind::kOrderFree) << i;
+    for (size_t d = 0; d < lean.disjuncts().size(); ++d) {
+      EXPECT_EQ(lean.disjuncts()[d].reduced_transitive.num_order_vars(), 0)
+          << i;
+      EXPECT_EQ(full.disjuncts()[d].reduced_transitive.num_order_vars(),
+                full.disjuncts()[d].reduced.num_order_vars())
+          << i;
+    }
+    long long lean_count = -1;
+    long long full_count = -1;
+    const std::vector<std::string> lean_models =
+        CountermodelStrings(lean, db, &lean_count);
+    const std::vector<std::string> full_models =
+        CountermodelStrings(full, db, &full_count);
+    EXPECT_EQ(lean_count, full_count) << i;
+    EXPECT_EQ(lean_models, full_models) << i;
+    total += lean_count;
+  }
+  EXPECT_GT(total, 0);  // the corpus is not all entailed
+}
+
+TEST(PrepareTest, TransitiveReductionsBuiltOnlyWhereAnAutomatonReadsThem) {
+  auto vocab = std::make_shared<Vocabulary>();
+  Result<Database> db = ParseDatabase("P(u)\nQ(v)\nu < v", vocab);
+  ASSERT_TRUE(db.ok());
+  // The chain's shortcut t1 <= t3 is implied, so the reduction drops it.
+  Result<Query> chain = ParseQuery(
+      "exists t1 t2 t3: P(t1) & t1 < t2 & t2 <= t3 & t1 <= t3 & Q(t3)",
+      vocab);
+  ASSERT_TRUE(chain.ok());
+  auto reduced_edges = [&](EngineKind engine) {
+    EntailOptions options;
+    options.engine = engine;
+    const PreparedQuery plan = MustPrepare(vocab, chain.value(), options);
+    EXPECT_EQ(plan.disjuncts().size(), 1u);
+    Result<EntailResult> result = plan.Evaluate(db.value());
+    EXPECT_TRUE(result.ok());
+    EXPECT_TRUE(result.value().entailed);
+    return plan.disjuncts()[0].reduced_transitive.dag.num_edges();
+  };
+  EXPECT_EQ(reduced_edges(EngineKind::kAuto), 2);
+  EXPECT_EQ(reduced_edges(EngineKind::kBoundedWidth), 2);
+  EXPECT_EQ(reduced_edges(EngineKind::kPathDecomposition), 2);
+  EXPECT_EQ(reduced_edges(EngineKind::kDisjunctiveSearch), 2);
+  EXPECT_EQ(reduced_edges(EngineKind::kBruteForce), 0);
 }
 
 }  // namespace

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/printer.h"
 #include "core/query.h"
+#include "graph/width.h"
+#include "util/random.h"
 
 namespace iodb {
 namespace {
@@ -280,6 +286,119 @@ TEST(PrinterTest, NormQueryRendering) {
   std::string text = ToString(norm.value());
   EXPECT_NE(text.find("P(t1)"), std::string::npos);
   EXPECT_NE(text.find("t1<t2"), std::string::npos);
+}
+
+// A vocabulary with monadic order labels, an object predicate and a
+// mixed binary one, for conjuncts of both sorts.
+VocabularyPtr MixedVocab() {
+  VocabularyPtr vocab = MonadicVocab();
+  vocab->MustAddPredicate("Obj", {Sort::kObject});
+  vocab->MustAddPredicate("At", {Sort::kObject, Sort::kOrder});
+  return vocab;
+}
+
+// A random conjunct over order variables t0..t{order_vars-1} and object
+// variables x0..: labels, object facts, "At" links and inequalities, and
+// order atoms t_i -> t_j (i < j) with probability `edge_probability`.
+// Declaration order is shuffled, so the normalized ids do not follow it.
+QueryConjunct RandomConjunct(int order_vars, double edge_probability,
+                             Rng& rng) {
+  QueryConjunct conjunct;
+  std::vector<std::string> names;
+  for (int t = 0; t < order_vars; ++t) names.push_back("t" + std::to_string(t));
+  const int object_vars = rng.UniformInt(0, 2);
+  for (int x = 0; x < object_vars; ++x) names.push_back("x" + std::to_string(x));
+  for (size_t i = names.size(); i > 1; --i) {
+    std::swap(names[i - 1], names[rng.Uniform(i)]);
+  }
+  for (const std::string& name : names) conjunct.Exists(name);
+  const char* labels[] = {"P", "Q", "R", "S"};
+  for (int t = 0; t < order_vars; ++t) {
+    const std::string var = "t" + std::to_string(t);
+    for (int l = rng.UniformInt(0, 2); l > 0; --l) {
+      conjunct.Atom(labels[rng.Uniform(4)], {var});
+    }
+    for (int u = t + 1; u < order_vars; ++u) {
+      if (rng.Bernoulli(edge_probability)) {
+        conjunct.Order(var, rng.Bernoulli(0.5) ? OrderRel::kLt : OrderRel::kLe,
+                       "t" + std::to_string(u));
+      }
+      if (rng.Bernoulli(0.15)) conjunct.NotEqual(var, "t" + std::to_string(u));
+    }
+  }
+  for (int x = 0; x < object_vars; ++x) {
+    const std::string var = "x" + std::to_string(x);
+    if (rng.Bernoulli(0.5)) conjunct.Atom("Obj", {var});
+    if (order_vars > 0 && rng.Bernoulli(0.5)) {
+      conjunct.Atom("At", {var, "t" + std::to_string(rng.Uniform(order_vars))});
+    }
+  }
+  return conjunct;
+}
+
+TEST(NormalizeQueryTest, EdgeFreeConjunctNormalizesLikeTheTarjanPath) {
+  // A conjunct with no order atom skips the SCC pass; adding t0 <= t0
+  // (dropped by rule N2) forces it. Both must give the same conjunct.
+  VocabularyPtr vocab = MixedVocab();
+  Rng rng(424242);
+  for (int i = 0; i < 200; ++i) {
+    const QueryConjunct conjunct =
+        RandomConjunct(rng.UniformInt(1, 5), /*edge_probability=*/0, rng);
+    QueryConjunct looped = conjunct;
+    looped.Order("t0", OrderRel::kLe, "t0");
+    Query plain(vocab);
+    plain.AddDisjunct(conjunct);
+    Query forced(vocab);
+    forced.AddDisjunct(std::move(looped));
+    Result<NormQuery> a = NormalizeQuery(plain);
+    Result<NormQuery> b = NormalizeQuery(forced);
+    ASSERT_TRUE(a.ok()) << i;
+    ASSERT_TRUE(b.ok()) << i;
+    ASSERT_EQ(a.value().disjuncts.size(), 1u) << i;
+    ASSERT_EQ(b.value().disjuncts.size(), 1u) << i;
+    const NormConjunct& x = a.value().disjuncts[0];
+    const NormConjunct& y = b.value().disjuncts[0];
+    EXPECT_EQ(x.order_var_names, y.order_var_names) << i;
+    EXPECT_EQ(x.object_var_names, y.object_var_names) << i;
+    EXPECT_EQ(x.labels, y.labels) << i;
+    EXPECT_EQ(x.dag.num_vertices(), y.dag.num_vertices()) << i;
+    EXPECT_EQ(x.dag.edges(), y.dag.edges()) << i;
+    EXPECT_EQ(x.other_atoms, y.other_atoms) << i;
+    EXPECT_EQ(x.inequalities, y.inequalities) << i;
+  }
+}
+
+TEST(NormConjunctTest, WidthMatchesDagWidth) {
+  VocabularyPtr vocab = MixedVocab();
+  Rng rng(97);
+  for (int i = 0; i < 300; ++i) {
+    const double edge_probability = i % 2 == 0 ? 0.0 : 0.5;
+    Query query(vocab);
+    query.AddDisjunct(RandomConjunct(rng.UniformInt(0, 5), edge_probability,
+                                     rng));
+    Result<NormQuery> norm = NormalizeQuery(query);
+    ASSERT_TRUE(norm.ok()) << i;
+    for (const NormConjunct& conjunct : norm.value().disjuncts) {
+      EXPECT_EQ(conjunct.Width(), DagWidth(conjunct.dag)) << i;
+    }
+  }
+}
+
+TEST(NormalizeQueryTest, ErrorTextsForUnknownPredicatesAndArity) {
+  VocabularyPtr vocab = MixedVocab();
+  Query unknown(vocab);
+  unknown.AddDisjunct().Exists("t").Atom("P", {"t"}).Atom("Nope", {"t"});
+  Result<NormQuery> a = NormalizeQuery(unknown);
+  ASSERT_FALSE(a.ok());
+  EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(a.status().message(), "unknown predicate 'Nope' in query");
+
+  Query arity(vocab);
+  arity.AddDisjunct().Exists("t").Exists("u").Atom("P", {"t", "u"});
+  Result<NormQuery> b = NormalizeQuery(arity);
+  ASSERT_FALSE(b.ok());
+  EXPECT_EQ(b.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(b.status().message(), "arity mismatch for 'P' in query");
 }
 
 }  // namespace

@@ -17,6 +17,10 @@ ServingState::ServingState(ServiceOptions options,
       bare_(std::make_unique<EvaluationService>(options)) {}
 
 Status ServingState::OpenRegistry(const std::string& dir) {
+  // A registry does not flush on destruction: make the current one's
+  // acknowledged appends durable before dropping it, or keep it.
+  Status flushed = FlushRegistry();
+  if (!flushed.ok()) return flushed;
   Result<std::unique_ptr<storage::DurableRegistry>> registry =
       storage::DurableRegistry::Open(dir, options_, sync_);
   if (!registry.ok()) return registry.status();
@@ -30,7 +34,6 @@ EvaluationService& ServingState::service() {
 
 Status ServingState::FlushRegistry() {
   if (registry_ == nullptr) return Status::Ok();
-  std::lock_guard<std::mutex> lock(write_mu_);
   return registry_->Flush();
 }
 
@@ -269,10 +272,6 @@ ProtocolSession::ExitReason ProtocolSession::Run() {
         Err("unterminated " + command + " (missing END)");
         break;
       }
-      // LOAD/APPEND serialize across sessions: the registry's
-      // persistence bookkeeping is single-writer (the service's own
-      // publish path serializes internally anyway).
-      std::lock_guard<std::mutex> lock(state_->write_mu());
       if (command == "LOAD") {
         HandleLoad(args, text);
       } else {
@@ -294,7 +293,6 @@ ProtocolSession::ExitReason ProtocolSession::Run() {
         Err("SAVE needs a database name");
         continue;
       }
-      std::lock_guard<std::mutex> lock(state_->write_mu());
       HandleSave(args);
     } else if (command == "INFO") {
       HandleInfo(args);

@@ -9,18 +9,20 @@
 // one LineChannel.
 //
 // Concurrency contract: any number of ProtocolSessions may Run()
-// concurrently over one ServingState. EVAL/BATCH/INFO/STATS go straight
-// to the service (readers pin a published database version and never
-// block); LOAD/APPEND/SAVE serialize on the state's writer mutex —
-// against each other only, never against readers. OPEN (which swaps the
-// whole registry) is only allowed on sessions that opted in
-// (allow_open), i.e. the single-client stdin mode.
+// concurrently over one ServingState, and the protocol holds no lock of
+// its own. EVAL/BATCH/INFO/STATS go straight to the service (readers
+// pin a published database version and never block). LOAD/APPEND/SAVE
+// go to the one writer seam below them — the durable registry, which
+// serializes its own writes, or in bare mode the service's publish
+// path — so writers serialize against each other only, never against
+// readers. OPEN (which swaps the whole registry) is only allowed on
+// sessions that opted in (allow_open), i.e. the single-client stdin
+// mode.
 
 #ifndef IODB_SERVER_PROTOCOL_H_
 #define IODB_SERVER_PROTOCOL_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "server/line_channel.h"
@@ -42,8 +44,10 @@ class ServingState {
   ServingState(ServiceOptions options, storage::WalSyncOptions sync);
 
   /// Opens (creating if needed) a durable registry at `dir` and swaps it
-  /// in as the serving state. Callers must guarantee no session is
-  /// mid-request (startup, or the single-session stdin mode).
+  /// in as the serving state. The registry it replaces is flushed first;
+  /// if that flush fails, the error is returned and the current registry
+  /// keeps serving. Callers must guarantee no session is mid-request
+  /// (startup, or the single-session stdin mode).
   Status OpenRegistry(const std::string& dir);
 
   EvaluationService& service();
@@ -52,19 +56,11 @@ class ServingState {
   /// Shutdown hook: makes every acknowledged append durable.
   Status FlushRegistry();
 
-  const ServiceOptions& options() const { return options_; }
-  const storage::WalSyncOptions& sync() const { return sync_; }
-
-  /// Serializes registry-writing verbs (LOAD/APPEND/SAVE) across
-  /// sessions. Readers never take this.
-  std::mutex& write_mu() { return write_mu_; }
-
  private:
   ServiceOptions options_;
   storage::WalSyncOptions sync_;
   std::unique_ptr<EvaluationService> bare_;
   std::unique_ptr<storage::DurableRegistry> registry_;
-  std::mutex write_mu_;
 };
 
 /// One client's command loop. Reads commands from the channel, writes

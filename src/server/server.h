@@ -7,9 +7,11 @@
 //   * N sessions serve concurrently; EVAL/BATCH pin a published
 //     database version at request start and run lock-free against it —
 //     no reader ever blocks on a writer;
-//   * LOAD/APPEND/SAVE funnel through the single-writer publish path
-//     (WAL-log, build the next version, atomically republish); readers
-//     on the old version drain naturally;
+//   * LOAD/APPEND/SAVE funnel through the one writer seam — the
+//     durable registry, which serializes its own writes, or the bare
+//     service's publish path (WAL-log, build the next version,
+//     atomically republish); the protocol takes no lock of its own, and
+//     readers on the old version drain naturally;
 //   * per-session governance: every session owns a CancelToken wired
 //     into its evaluations. The monitor thread watches session sockets
 //     for peer hangup (POLLRDHUP) and trips the token, so a client that

@@ -209,6 +209,7 @@ Result<DbInfo> DurableRegistry::PersistDatabase(const std::string& name) {
 
 Result<DbInfo> DurableRegistry::Load(const std::string& name,
                                      const std::string& text) {
+  std::lock_guard<std::mutex> lock(write_mu_);
   Result<DbInfo> info = service_.Load(name, text);
   if (!info.ok()) return info;
   return PersistDatabase(name);
@@ -216,6 +217,7 @@ Result<DbInfo> DurableRegistry::Load(const std::string& name,
 
 Result<DbInfo> DurableRegistry::AppendText(const std::string& name,
                                            const std::string& text) {
+  std::lock_guard<std::mutex> lock(write_mu_);
   Result<std::vector<WalRecord>> records =
       ParseMutationText(text, service_.vocab());
   if (!records.ok()) return records.status();
@@ -248,7 +250,7 @@ Result<DbInfo> DurableRegistry::AppendText(const std::string& name,
     if (sync_.policy == WalSyncPolicy::kInterval &&
         std::chrono::steady_clock::now() - last_interval_flush_ >=
             std::chrono::milliseconds(sync_.interval_ms)) {
-      Status flush = Flush();
+      Status flush = FlushLocked();
       if (!flush.ok()) return flush;
     }
   }
@@ -256,6 +258,11 @@ Result<DbInfo> DurableRegistry::AppendText(const std::string& name,
 }
 
 Status DurableRegistry::Flush() {
+  std::lock_guard<std::mutex> lock(write_mu_);
+  return FlushLocked();
+}
+
+Status DurableRegistry::FlushLocked() {
   while (!dirty_.empty()) {
     const std::string name = *dirty_.begin();
     Status status = SyncWal(WalPath(name));
@@ -267,12 +274,14 @@ Status DurableRegistry::Flush() {
 }
 
 Result<DbInfo> DurableRegistry::Compact(const std::string& name) {
+  std::lock_guard<std::mutex> lock(write_mu_);
   return PersistDatabase(name);
 }
 
 Status DurableRegistry::CompactAll() {
+  std::lock_guard<std::mutex> lock(write_mu_);
   for (const std::string& name : service_.database_names()) {
-    Result<DbInfo> info = Compact(name);
+    Result<DbInfo> info = PersistDatabase(name);
     if (!info.ok()) return info.status();
   }
   return Status::Ok();

@@ -23,6 +23,17 @@
 // the on-disk state always describes the in-memory state. Evaluations
 // go straight to service() — the registry adds no overhead on the read
 // path.
+//
+// Thread-safety: the registry is the one writer seam of durable
+// serving. Any number of threads may call Load / AppendText / Compact /
+// CompactAll / Flush concurrently (with each other and with readers of
+// service()); each holds the registry's writer mutex for its whole
+// sequence — parse or persist, then the service's publish, then the
+// persistence bookkeeping — so no append can land between a snapshot
+// write and the fresh WAL that follows it, and callers supply no lock
+// of their own. Lock order: the registry mutex, then
+// EvaluationService's writer mutex, then its map lock. No hook the
+// registry passes into the service calls back into the registry.
 
 #ifndef IODB_STORAGE_DURABLE_REGISTRY_H_
 #define IODB_STORAGE_DURABLE_REGISTRY_H_
@@ -31,6 +42,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -90,10 +102,10 @@ class DurableRegistry {
   Status CompactAll();
 
   /// fsyncs every WAL with un-synced appends (kNone / kInterval
-  /// policies; a no-op under kCommit). The serving shutdown path.
+  /// policies; a no-op under kCommit). The serving shutdown path, and
+  /// the step before a registry is dropped: the registry does not flush
+  /// on destruction.
   Status Flush();
-
-  const WalSyncOptions& sync_options() const { return sync_; }
 
   /// Current WAL size in bytes (test/inspection hook).
   Result<uint64_t> WalBytes(const std::string& name) const;
@@ -115,13 +127,17 @@ class DurableRegistry {
         sync_(sync),
         last_interval_flush_(std::chrono::steady_clock::now()) {}
 
+  // The helpers below run with write_mu_ held by their public caller.
   Status PersistVocabulary();
   /// Snapshot + fresh WAL + vocabulary for the registered database.
   Result<DbInfo> PersistDatabase(const std::string& name);
+  Status FlushLocked();
 
   std::string dir_;
   EvaluationService service_;
   WalSyncOptions sync_;
+  // Serializes the writers end to end and guards every member below.
+  std::mutex write_mu_;
   // Per database: the (uid, revision) base identity of the snapshot on
   // disk — the identity the WAL header is bound to.
   std::map<std::string, std::pair<uint64_t, uint64_t>> base_;

@@ -89,13 +89,15 @@ Status CreateWal(const std::string& path, uint64_t db_uid,
 enum class WalSyncPolicy {
   kNone,     // never fsync (fastest; durability = filesystem's promise)
   kCommit,   // fsync every committed group (the default)
-  kInterval  // fsync at most every interval_ms, and on Flush()/shutdown
+  kInterval  // fsync on the first append after interval_ms, and on Flush()
 };
 
 struct WalSyncOptions {
   WalSyncPolicy policy = WalSyncPolicy::kCommit;
-  /// kInterval: maximum milliseconds an acknowledged group may sit
-  /// un-fsynced.
+  /// kInterval: the minimum milliseconds between fsync rounds. There is
+  /// no timer: the interval is checked on the next AppendText, so an
+  /// acknowledged group stays un-fsynced until a later append finds the
+  /// interval passed, or until Flush() / shutdown.
   long long interval_ms = 50;
 };
 

@@ -1,11 +1,12 @@
 // Socket server tests (server/server.h): multi-client sessions over one
 // shared service with snapshot-isolated reads, the disconnect-cancel
-// fan-out, graceful shutdown drain, the TCP front end, and the session
-// cap. The multi-client test is the serving layer's consistency proof
-// and runs under the TSan CI job: M concurrent sessions interleave
-// EVAL/APPEND/BATCH, every response's (uid, revision) identity must be
-// a consistent snapshot, and the final state must equal a serial replay
-// of the same mutations.
+// fan-out, graceful shutdown drain, the TCP front end, the session cap,
+// durable writers racing with no protocol lock, and OPEN's flush of the
+// registry it replaces. The multi-client test is the serving layer's
+// consistency proof and runs under the TSan CI job: M concurrent
+// sessions interleave EVAL/APPEND/BATCH, every response's (uid,
+// revision) identity must be a consistent snapshot, and the final state
+// must equal a serial replay of the same mutations.
 
 #include "server/server.h"
 
@@ -19,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,10 +28,13 @@
 
 #include "server/line_channel.h"
 #include "server/protocol.h"
+#include "storage/durable_registry.h"
 #include "storage/wal.h"
 
 namespace iodb {
 namespace {
+
+namespace fs = std::filesystem;
 
 using server::LineChannel;
 using server::ServingState;
@@ -106,11 +111,17 @@ class Client {
   LineChannel channel_;
 };
 
+// Serves a bare service, or with a non-empty `data_dir` a durable
+// registry opened there.
 struct ServerFixture {
   ServerFixture(const std::string& socket_name, int max_sessions = 256,
-                int tcp_port = -1) {
+                int tcp_port = -1, const std::string& data_dir = "") {
     state = std::make_unique<ServingState>(ServiceOptions{},
                                            storage::WalSyncOptions{});
+    if (!data_dir.empty()) {
+      Status opened = state->OpenRegistry(data_dir);
+      EXPECT_TRUE(opened.ok()) << opened.ToString();
+    }
     server::ServerOptions options;
     options.unix_path = SocketPath(socket_name);
     options.tcp_port = tcp_port;
@@ -147,6 +158,15 @@ Verdict ParseVerdict(const std::string& line) {
   verdict.revision = std::stoull(line.substr(at + 1, close - at - 1));
   verdict.parsed = true;
   return verdict;
+}
+
+// The value of " key=" in a response line ("" when absent).
+std::string Field(const std::string& line, const std::string& key) {
+  const std::string needle = " " + key + "=";
+  size_t at = line.find(needle);
+  if (at == std::string::npos) return "";
+  at += needle.size();
+  return line.substr(at, line.find(' ', at) - at);
 }
 
 TEST(ServerSocketTest, SingleSessionServesTheProtocol) {
@@ -508,6 +528,121 @@ TEST(ServerSocketTest, DisconnectCancelsInFlightWork) {
   EXPECT_EQ(stats.sessions_active, 0);
   EXPECT_GE(stats.disconnect_cancels, 1);
   fixture.server->Stop();
+}
+
+// Durable writers need no protocol lock: one session APPENDs while
+// another SAVEs the same database and readers EVAL alongside, and a
+// registry reopened after the drain restores exactly the last
+// acknowledged state. The registry's own writer mutex is what keeps an
+// APPEND from landing between a SAVE's snapshot and the fresh WAL after
+// it, where the restart would lose it.
+TEST(ServerSocketTest, ConcurrentDurableWritersRestoreTheLastAcks) {
+  const std::string data_dir = testing::TempDir() + "/iodb_socket_durable";
+  fs::remove_all(data_dir);
+  ServerFixture fixture("iodb_durable.sock", 256, -1, data_dir);
+  ASSERT_NE(fixture.server, nullptr);
+  const std::string path = fixture.server->unix_path();
+  const std::string query = "exists t1 t2: P(t1) & t1 < t2 & Q(t2)";
+  {
+    std::unique_ptr<Client> loader = Client::ConnectUnix(path);
+    ASSERT_NE(loader, nullptr);
+    ASSERT_TRUE(loader->Send("LOAD base\nP(u)\nQ(v)\nu < z\nv < z\nEND\n"));
+    std::string line;
+    ASSERT_TRUE(loader->ReadLine(&line));
+    ASSERT_EQ(line, "OK db=base atoms=4");
+    loader->Send("QUIT\n");
+  }
+
+  std::atomic<bool> done{false};
+  std::vector<std::thread> sessions;
+  for (int t = 0; t < 2; ++t) {
+    sessions.emplace_back([&] {
+      std::unique_ptr<Client> reader = Client::ConnectUnix(path);
+      ASSERT_NE(reader, nullptr);
+      while (!done.load(std::memory_order_acquire)) {
+        ASSERT_TRUE(
+            ParseVerdict(reader->RoundTrip("EVAL base --identity " + query))
+                .parsed);
+      }
+      reader->Send("QUIT\n");
+    });
+  }
+  std::atomic<int> saves{0};
+  sessions.emplace_back([&] {
+    std::unique_ptr<Client> saver = Client::ConnectUnix(path);
+    ASSERT_NE(saver, nullptr);
+    while (!done.load(std::memory_order_acquire)) {
+      std::string ack = saver->RoundTrip("SAVE base");
+      ASSERT_EQ(ack.rfind("OK db=base ", 0), 0u) << ack;
+      ++saves;
+    }
+    saver->Send("QUIT\n");
+  });
+
+  std::string last_atoms, last_revision;
+  {
+    std::unique_ptr<Client> appender = Client::ConnectUnix(path);
+    ASSERT_NE(appender, nullptr);
+    for (int i = 0; i < 150; ++i) {
+      ASSERT_TRUE(appender->Send("APPEND base\nP(pad" + std::to_string(i) +
+                                 ")\nEND\n"));
+      std::string ack;
+      ASSERT_TRUE(appender->ReadLine(&ack));
+      ASSERT_EQ(ack.rfind("OK db=base ", 0), 0u) << ack;
+      last_atoms = Field(ack, "atoms");
+      last_revision = Field(ack, "revision");
+    }
+    appender->Send("QUIT\n");
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& session : sessions) session.join();
+  EXPECT_GT(saves.load(), 0);
+  EXPECT_EQ(last_atoms, "154");
+
+  std::unique_ptr<Client> checker = Client::ConnectUnix(path);
+  ASSERT_NE(checker, nullptr);
+  const std::string info = checker->RoundTrip("INFO base");
+  EXPECT_EQ(Field(info, "atoms"), last_atoms) << info;
+  EXPECT_EQ(Field(info, "revision"), last_revision) << info;
+  checker->Send("QUIT\n");
+  checker.reset();
+  fixture.server->Stop();
+  ASSERT_TRUE(fixture.state->FlushRegistry().ok());
+
+  Result<std::unique_ptr<storage::DurableRegistry>> reopened =
+      storage::DurableRegistry::Open(data_dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EvaluationService::DatabasePtr db =
+      reopened.value()->service().Snapshot("base");
+  ASSERT_NE(db, nullptr);
+  EXPECT_EQ(std::to_string(db->SizeAtoms()), last_atoms);
+  EXPECT_EQ(std::to_string(db->uid()), Field(info, "uid"));
+  EXPECT_EQ(std::to_string(db->revision()), last_revision);
+  reopened.value().reset();
+  fs::remove_all(data_dir);
+}
+
+// OPEN flushes the registry it replaces (a registry does not flush on
+// destruction). When that flush fails — here the un-synced WAL is gone —
+// OPEN fails and the current registry keeps serving.
+TEST(ServingStateTest, OpenKeepsTheRegistryWhoseFlushFails) {
+  const std::string dir_a = testing::TempDir() + "/iodb_open_flush_a";
+  const std::string dir_b = testing::TempDir() + "/iodb_open_flush_b";
+  fs::remove_all(dir_a);
+  fs::remove_all(dir_b);
+  storage::WalSyncOptions sync;
+  sync.policy = storage::WalSyncPolicy::kNone;
+  ServingState state(ServiceOptions{}, sync);
+  ASSERT_TRUE(state.OpenRegistry(dir_a).ok());
+  ASSERT_TRUE(state.registry()->Load("base", "P(u)\n").ok());
+  ASSERT_TRUE(state.registry()->AppendText("base", "P(w)\n").ok());
+  ASSERT_TRUE(fs::remove(state.registry()->WalPath("base")));
+
+  EXPECT_FALSE(state.OpenRegistry(dir_b).ok());
+  ASSERT_NE(state.registry(), nullptr);
+  EXPECT_EQ(state.registry()->dir(), dir_a);
+  fs::remove_all(dir_a);
+  fs::remove_all(dir_b);
 }
 
 }  // namespace

@@ -31,7 +31,9 @@
 //                        replaces the session's service with one
 //                        restored from <dir> (stdin mode only — a
 //                        socket session may not swap the registry under
-//                        its peers)
+//                        its peers). The registry it replaces is flushed
+//                        first; if that fails, OPEN errors and the
+//                        current registry stays
 //                        -> "OK dir=<dir> databases=<n>"
 //   SAVE <name>          fold the write-ahead log of <name> into a
 //                        fresh snapshot (registry required)

@@ -197,6 +197,34 @@ std::string CostPlanDetail(const CostPlanOutcome& outcome,
   return detail;
 }
 
+// The static kAuto route of an instance, from four facts about it: every
+// disjunct order-free, every disjunct monadic, one disjunct, and a
+// database free of inequalities. The conjunctive engines need an
+// inequality-free database; the Theorem 5.3 engine handles database
+// inequalities via the Section 7 sorting modification.
+EngineKind AutoEngine(bool order_free, bool monadic, bool conjunctive,
+                      bool db_neq_free) {
+  if (order_free) return EngineKind::kOrderFree;
+  if (!monadic) return EngineKind::kBruteForce;
+  return conjunctive && db_neq_free ? EngineKind::kBoundedWidth
+                                    : EngineKind::kDisjunctiveSearch;
+}
+
+// The query an engine reads over the disjuncts that survived ground-fact
+// filtering (plan indices `survivors`): `query` itself when none was
+// dropped, else a copy of the survivors built in `copy`. The copy is not
+// trivially true: evaluation answers that case before any engine runs.
+const NormQuery& SurvivorQuery(const NormQuery& query,
+                               const std::vector<int>& survivors,
+                               std::optional<NormQuery>& copy) {
+  if (survivors.size() == query.disjuncts.size()) return query;
+  NormQuery& subset = copy.emplace();
+  subset.vocab = query.vocab;
+  subset.disjuncts.reserve(survivors.size());
+  for (int idx : survivors) subset.disjuncts.push_back(query.disjuncts[idx]);
+  return subset;
+}
+
 }  // namespace
 
 Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
@@ -260,8 +288,9 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
     plan.passes_.push_back(std::move(record));
   }
 
-  // Pass 3: normalization (rules N1/N2, dag + label views).
-  NormQuery effective_query;
+  // Pass 3: normalization (rules N1/N2, dag + label views). Passes 3-5
+  // transform the plan's own query in place.
+  NormQuery& effective_query = plan.query_;
   {
     const size_t surface_disjuncts = working_query->disjuncts().size();
     Result<NormQuery> norm_query = NormalizeQuery(*working_query);
@@ -297,8 +326,6 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
     plan.passes_.push_back(std::move(record));
   }
 
-  plan.trivially_true_ = effective_query.trivially_true;
-
   // Pass 5: object/order split (static half; ground-fact filtering is the
   // evaluation-time half).
   {
@@ -306,13 +333,13 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
     plan.disjuncts_.reserve(effective_query.disjuncts.size());
     for (NormConjunct& conjunct : effective_query.disjuncts) {
       SplitConjunct split = SplitObjectComponents(std::move(conjunct));
+      conjunct = std::move(split.reduced);
       DisjunctPlan entry;
-      entry.reduced = std::move(split.reduced);
       entry.object_part = std::move(split.object_part);
       // The brute-force matcher's variable-order schedule is memoized
       // here, never computed per evaluation (the cost-plan pass may
       // replace it).
-      entry.compiled = CompileConjunct(entry.reduced);
+      entry.compiled = CompileConjunct(conjunct);
       if (entry.object_part.has_value()) ++with_object_part;
       plan.disjuncts_.push_back(std::move(entry));
     }
@@ -329,28 +356,23 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
   {
     bool all_monadic = true;
     bool all_order_free = !plan.disjuncts_.empty();
-    for (DisjunctPlan& entry : plan.disjuncts_) {
-      entry.monadic_order_only = entry.reduced.IsMonadicOrderOnly();
-      entry.order_free = IsOrderFree(entry.reduced);
-      entry.order_vars = entry.reduced.num_order_vars();
-      entry.width = entry.reduced.Width();
-      entry.engine = entry.order_free           ? EngineKind::kOrderFree
-                     : entry.monadic_order_only ? EngineKind::kBoundedWidth
-                                                : EngineKind::kBruteForce;
+    for (size_t i = 0; i < plan.disjuncts_.size(); ++i) {
+      DisjunctPlan& entry = plan.disjuncts_[i];
+      const NormConjunct& reduced = plan.reduced(i);
+      entry.monadic_order_only = reduced.IsMonadicOrderOnly();
+      entry.order_free = IsOrderFree(reduced);
+      entry.order_vars = reduced.num_order_vars();
+      entry.width = reduced.Width();
+      entry.engine = AutoEngine(entry.order_free, entry.monadic_order_only,
+                                /*conjunctive=*/true, /*db_neq_free=*/true);
       all_monadic = all_monadic && entry.monadic_order_only;
       all_order_free = all_order_free && entry.order_free;
     }
-    if (options.engine != EngineKind::kAuto) {
-      plan.planned_engine_ = options.engine;
-    } else if (all_order_free) {
-      plan.planned_engine_ = EngineKind::kOrderFree;
-    } else if (!all_monadic) {
-      plan.planned_engine_ = EngineKind::kBruteForce;
-    } else {
-      plan.planned_engine_ = plan.disjuncts_.size() == 1
-                                 ? EngineKind::kBoundedWidth
-                                 : EngineKind::kDisjunctiveSearch;
-    }
+    plan.planned_engine_ =
+        options.engine != EngineKind::kAuto
+            ? options.engine
+            : AutoEngine(all_order_free, all_monadic,
+                         plan.disjuncts_.size() == 1, /*db_neq_free=*/true);
     PassRecord record{QueryPassId::kEngineClassification, true, ""};
     record.detail = std::string("planned engine: ") +
                     EngineKindName(plan.planned_engine_);
@@ -359,8 +381,8 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
 
   // Pass 7: cost-based planning. Advisory by contract (core/planner.h):
   // anything invalid is dropped here, so the engines below never see a
-  // schedule that could change a verdict. Runs BEFORE the static-split
-  // build so a disjunct reordering flows into the precomputed queries.
+  // schedule that could change a verdict. Runs BEFORE the transitive
+  // reductions are built so a disjunct reordering flows into them.
   {
     PassRecord record{QueryPassId::kCostPlan, false, ""};
     const QueryPlanner* planner = options.planner.get();
@@ -372,27 +394,18 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
       record.detail = "no disjuncts to cost";
     } else {
       outcome.schedules.resize(plan.disjuncts_.size());
-      // The planner reads the conjuncts by const reference, so they move
-      // into its input and straight back.
-      std::vector<NormConjunct> reduced;
-      reduced.reserve(plan.disjuncts_.size());
-      for (DisjunctPlan& entry : plan.disjuncts_) {
-        reduced.push_back(std::move(entry.reduced));
-      }
-      QueryPlanChoice choice = planner->PlanQuery(reduced);
-      for (size_t i = 0; i < plan.disjuncts_.size(); ++i) {
-        plan.disjuncts_[i].reduced = std::move(reduced[i]);
-      }
+      QueryPlanChoice choice = planner->PlanQuery(effective_query.disjuncts);
 
       // Per-disjunct schedules: accept only valid linear extensions
       // that differ from the default topological order.
       if (choice.disjuncts.size() == plan.disjuncts_.size()) {
         for (size_t i = 0; i < plan.disjuncts_.size(); ++i) {
           DisjunctPlan& entry = plan.disjuncts_[i];
+          const NormConjunct& reduced = plan.reduced(i);
           const DisjunctCost& cost = choice.disjuncts[i];
           entry.est_cost = cost.est_cost;
           const std::vector<int>& seq = cost.order_var_sequence;
-          const int nv = entry.reduced.num_order_vars();
+          const int nv = reduced.num_order_vars();
           if (seq.empty()) continue;
           if (static_cast<int>(seq.size()) != nv) continue;
           std::vector<int> pos(nv, -1);
@@ -402,7 +415,7 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
             valid = t >= 0 && t < nv && pos[t] == -1;
             if (valid) pos[t] = p;
           }
-          for (const LabeledEdge& e : entry.reduced.dag.edges()) {
+          for (const LabeledEdge& e : reduced.dag.edges()) {
             if (!valid) break;
             valid = pos[e.from] < pos[e.to];
           }
@@ -413,7 +426,7 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
             if (sort == Sort::kOrder) default_seq.push_back(id);
           }
           if (seq == default_seq) continue;
-          entry.compiled = CompileConjunct(entry.reduced, &seq);
+          entry.compiled = CompileConjunct(reduced, &seq);
           entry.costed_schedule = true;
           outcome.schedules[i] = seq;
         }
@@ -434,9 +447,16 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
         }
         if (valid && !identity) {
           std::vector<DisjunctPlan> permuted;
-          permuted.reserve(plan.disjuncts_.size());
-          for (int d : order) permuted.push_back(std::move(plan.disjuncts_[d]));
+          std::vector<NormConjunct> permuted_reduced;
+          permuted.reserve(order.size());
+          permuted_reduced.reserve(order.size());
+          for (int d : order) {
+            permuted.push_back(std::move(plan.disjuncts_[d]));
+            permuted_reduced.push_back(
+                std::move(effective_query.disjuncts[d]));
+          }
           plan.disjuncts_ = std::move(permuted);
+          effective_query.disjuncts = std::move(permuted_reduced);
           outcome.disjunct_order = order;
         }
       }
@@ -470,42 +490,16 @@ Result<PreparedQuery> Prepare(const VocabularyPtr& vocab, const Query& query,
       forced == EngineKind::kDisjunctiveSearch ||
       (forced == EngineKind::kAuto &&
        plan.planned_engine_ != EngineKind::kOrderFree);
-  bool all_monadic = true;
-  bool any_object_part = false;
-  for (DisjunctPlan& entry : plan.disjuncts_) {
-    if (automata_route && entry.monadic_order_only) {
-      entry.reduced_transitive = TransitiveReduceConjunct(entry.reduced);
-    }
-    all_monadic = all_monadic && entry.monadic_order_only;
-    any_object_part = any_object_part || entry.object_part.has_value();
-  }
-
-  // With no object parts, ground-fact filtering never drops a disjunct,
-  // so the assembled query is database-independent: build it once here
-  // and let every evaluation borrow it.
-  if (!any_object_part) {
-    NormQuery split_query;
-    split_query.vocab = plan.vocab_;
-    split_query.trivially_true = plan.trivially_true_;
-    split_query.disjuncts.reserve(plan.disjuncts_.size());
-    plan.static_plan_index_.reserve(plan.disjuncts_.size());
-    for (const DisjunctPlan& entry : plan.disjuncts_) {
-      if (entry.reduced.IsEmpty()) split_query.trivially_true = true;
-      split_query.disjuncts.push_back(entry.reduced);
-      plan.static_plan_index_.push_back(
-          static_cast<int>(plan.static_plan_index_.size()));
-    }
-    if (automata_route && all_monadic) {
-      NormQuery reduced_query;
-      reduced_query.vocab = plan.vocab_;
-      reduced_query.trivially_true = split_query.trivially_true;
-      reduced_query.disjuncts.reserve(plan.disjuncts_.size());
-      for (const DisjunctPlan& entry : plan.disjuncts_) {
-        reduced_query.disjuncts.push_back(entry.reduced_transitive);
+  if (automata_route) {
+    plan.transitive_.vocab = effective_query.vocab;
+    plan.transitive_.trivially_true = effective_query.trivially_true;
+    plan.transitive_.disjuncts.resize(plan.disjuncts_.size());
+    for (size_t i = 0; i < plan.disjuncts_.size(); ++i) {
+      if (plan.disjuncts_[i].monadic_order_only) {
+        plan.transitive_.disjuncts[i] =
+            TransitiveReduceConjunct(plan.reduced(i));
       }
-      plan.static_reduced_split_ = std::move(reduced_query);
     }
-    plan.static_split_ = std::move(split_query);
   }
 
   return plan;
@@ -545,12 +539,10 @@ PreparedQuery::PreparedQuery(const PreparedQuery& other)
       markers_(other.markers_),
       needs_sentinels_(other.needs_sentinels_),
       sentinel_vars_(other.sentinel_vars_),
-      trivially_true_(other.trivially_true_),
       planned_engine_(other.planned_engine_),
       cost_outcome_(other.cost_outcome_),
-      static_split_(other.static_split_),
-      static_reduced_split_(other.static_reduced_split_),
-      static_plan_index_(other.static_plan_index_) {
+      query_(other.query_),
+      transitive_(other.transitive_) {
   // Copies start with a cold transform cache (and their own mutex).
 }
 
@@ -616,26 +608,40 @@ Result<PreparedQuery::NormDbRef> PreparedQuery::NormDbFor(
   return NormDbRef{&entry->ndb.value(), entry};
 }
 
-std::optional<PreparedQuery::AssembledQuery> PreparedQuery::AssembleSplitQuery(
-    const NormDb& ndb) const {
-  if (static_split_.has_value()) return std::nullopt;  // precomputed
-  AssembledQuery assembled;
-  assembled.query.vocab = vocab_;
-  assembled.query.trivially_true = trivially_true_;
+const NormConjunct& PreparedQuery::reduced_transitive(size_t i) const {
+  static const NormConjunct kNotBuilt;
+  return transitive_.disjuncts.empty() ? kNotBuilt : transitive_.disjuncts[i];
+}
+
+Result<PreparedQuery::Admitted> PreparedQuery::Admit(const Database& db,
+                                                     ExecBudget* budget,
+                                                     const char* what) const {
+  // Admission check: a request whose deadline already passed (or whose
+  // batch was cancelled) fails fast instead of starting the search.
+  if (budget != nullptr && !budget->Poll()) {
+    return ExhaustedStatus(budget, what, EntailResult{});
+  }
+  Result<NormDbRef> view = NormDbFor(db);
+  if (!view.ok()) return view.status();
+  Admitted admitted;
+  admitted.view = std::move(view.value());
+  admitted.trivially_true = query_.trivially_true;
+  admitted.survivors.reserve(disjuncts_.size());
   std::optional<FiniteModel> facts;  // built lazily, shared by disjuncts
   for (size_t i = 0; i < disjuncts_.size(); ++i) {
     const DisjunctPlan& entry = disjuncts_[i];
     if (entry.object_part.has_value()) {
-      if (!facts.has_value()) facts = GroundObjectFacts(ndb);
-      // Object component false in `ndb`: the disjunct is false in every
-      // model of the database.
+      if (!facts.has_value()) facts = GroundObjectFacts(*admitted.view.ndb);
+      // Object component false in the database: the disjunct is false in
+      // every model of it.
       if (!Satisfies(*facts, *entry.object_part)) continue;
     }
-    if (entry.reduced.IsEmpty()) assembled.query.trivially_true = true;
-    assembled.query.disjuncts.push_back(entry.reduced);
-    assembled.plan_index.push_back(static_cast<int>(i));
+    admitted.survivors.push_back(static_cast<int>(i));
+    admitted.trivially_true = admitted.trivially_true || reduced(i).IsEmpty();
+    admitted.monadic = admitted.monadic && entry.monadic_order_only;
+    admitted.order_free = admitted.order_free && entry.order_free;
   }
-  return assembled;
+  return admitted;
 }
 
 Result<EntailResult> PreparedQuery::Evaluate(const Database& db,
@@ -646,27 +652,18 @@ Result<EntailResult> PreparedQuery::Evaluate(const Database& db,
 Result<EntailResult> PreparedQuery::EvaluateWith(const Database& db,
                                                  int num_threads,
                                                  ExecBudget* budget) const {
-  // Admission check: a request whose deadline already passed (or whose
-  // batch was cancelled) fails fast instead of starting the search.
-  if (budget != nullptr && !budget->Poll()) {
-    return ExhaustedStatus(budget, "evaluation admission", EntailResult{});
-  }
-  Result<NormDbRef> view = NormDbFor(db);
-  if (!view.ok()) return view.status();
-  const NormDb& ndb = *view.value().ndb;
-  const std::optional<AssembledQuery> assembled = AssembleSplitQuery(ndb);
-  const NormQuery& split_query =
-      assembled.has_value() ? assembled->query : *static_split_;
-  const std::vector<int>& plan_index =
-      assembled.has_value() ? assembled->plan_index : static_plan_index_;
+  Result<Admitted> admitted = Admit(db, budget, "evaluation admission");
+  if (!admitted.ok()) return admitted.status();
+  const NormDb& ndb = *admitted.value().view.ndb;
+  const std::vector<int>& survivors = admitted.value().survivors;
 
   EntailResult result;
-  if (split_query.trivially_true) {
+  if (admitted.value().trivially_true) {
     result.entailed = true;
     result.engine_used = EngineKind::kAuto;
     return result;
   }
-  if (split_query.disjuncts.empty()) {
+  if (survivors.empty()) {
     // The query reduced to FALSE: any minimal model is a countermodel.
     result.entailed = false;
     result.engine_used = EngineKind::kAuto;
@@ -676,44 +673,30 @@ Result<EntailResult> PreparedQuery::EvaluateWith(const Database& db,
     return result;
   }
 
-  // Dispatch. The conjunctive engines need an inequality-free database;
-  // the Theorem 5.3 engine handles database inequalities via the
-  // Section 7 sorting modification.
-  const bool monadic_ok = split_query.IsMonadicOrderOnly();
+  // Dispatch on the surviving disjuncts and this database.
+  const bool monadic_ok = admitted.value().monadic;
+  const bool order_free = admitted.value().order_free;
   const bool db_neq_free = ndb.inequalities.empty();
-  const bool conjunctive = split_query.IsConjunctive();
-  bool order_free = true;
-  for (int idx : plan_index) {
-    order_free = order_free && disjuncts_[idx].order_free;
-  }
+  const bool conjunctive = survivors.size() == 1;
 
   EngineKind engine = options_.engine;
-  if (engine == EngineKind::kAuto && order_free) {
-    // No order atom survives: the discrete model decides, so this route
-    // comes ahead of any costed one.
-    engine = EngineKind::kOrderFree;
-  } else if (engine == EngineKind::kAuto) {
-    // A costed route is taken only when applicable to THIS database's
-    // instance; otherwise the static auto rule decides. Suggestions are
-    // advisory, so inapplicability falls back instead of erroring.
-    std::optional<EngineKind> costed = cost_outcome_.engine;
-    if (costed.has_value()) {
-      const bool applicable =
-          *costed == EngineKind::kBruteForce ||
-          (*costed == EngineKind::kDisjunctiveSearch && monadic_ok) ||
-          ((*costed == EngineKind::kBoundedWidth ||
-            *costed == EngineKind::kPathDecomposition) &&
-           monadic_ok && conjunctive && db_neq_free);
-      if (!applicable) costed.reset();
-    }
-    if (costed.has_value()) {
-      engine = *costed;
-    } else {
-      engine = monadic_ok ? ((conjunctive && db_neq_free)
-                                 ? EngineKind::kBoundedWidth
-                                 : EngineKind::kDisjunctiveSearch)
-                          : EngineKind::kBruteForce;
-    }
+  if (engine == EngineKind::kAuto) {
+    // No order atom surviving means the discrete model decides, so the
+    // order-free route comes ahead of any costed one. A costed route is
+    // taken only when applicable to THIS database's instance; otherwise
+    // the static auto rule decides. Suggestions are advisory, so
+    // inapplicability falls back instead of erroring.
+    const std::optional<EngineKind> costed = cost_outcome_.engine;
+    const bool costed_applies =
+        costed.has_value() && !order_free &&
+        (*costed == EngineKind::kBruteForce ||
+         (*costed == EngineKind::kDisjunctiveSearch && monadic_ok) ||
+         ((*costed == EngineKind::kBoundedWidth ||
+           *costed == EngineKind::kPathDecomposition) &&
+          monadic_ok && conjunctive && db_neq_free));
+    engine = costed_applies
+                 ? *costed
+                 : AutoEngine(order_free, monadic_ok, conjunctive, db_neq_free);
   } else if (engine == EngineKind::kPathDecomposition ||
              engine == EngineKind::kBoundedWidth) {
     if (!monadic_ok || !conjunctive || !db_neq_free) {
@@ -735,6 +718,7 @@ Result<EntailResult> PreparedQuery::EvaluateWith(const Database& db,
   }
   result.engine_used = engine;
 
+  std::optional<NormQuery> subset;  // built only when a disjunct dropped
   switch (engine) {
     case EngineKind::kBruteForce: {
       BruteForceOptions bf_options;
@@ -743,13 +727,11 @@ Result<EntailResult> PreparedQuery::EvaluateWith(const Database& db,
       // Hand the engine the plan-memoized matcher schedules, parallel to
       // the surviving disjuncts.
       std::vector<const CompiledConjunct*> compiled;
-      compiled.reserve(plan_index.size());
-      for (int idx : plan_index) {
-        compiled.push_back(&disjuncts_[idx].compiled);
-      }
+      compiled.reserve(survivors.size());
+      for (int idx : survivors) compiled.push_back(&disjuncts_[idx].compiled);
       bf_options.compiled = &compiled;
-      BruteForceOutcome outcome =
-          EntailBruteForce(ndb, split_query, bf_options);
+      BruteForceOutcome outcome = EntailBruteForce(
+          ndb, SurvivorQuery(query_, survivors, subset), bf_options);
       result.entailed = outcome.entailed;
       result.models_enumerated = outcome.models_enumerated;
       result.groups_pushed = outcome.groups_pushed;
@@ -765,7 +747,7 @@ Result<EntailResult> PreparedQuery::EvaluateWith(const Database& db,
     }
     case EngineKind::kPathDecomposition: {
       PathEngineOutcome outcome =
-          EntailByPaths(ndb, split_query.disjuncts[0], budget);
+          EntailByPaths(ndb, reduced(survivors[0]), budget);
       result.entailed = outcome.entailed;
       result.states_visited = outcome.paths_checked;
       if (outcome.exhausted) {
@@ -776,7 +758,7 @@ Result<EntailResult> PreparedQuery::EvaluateWith(const Database& db,
         // bounded-width engine reconstructs one (also governed: the
         // witness search is part of the same request).
         BoundedWidthOutcome witness = EntailBoundedWidth(
-            ndb, disjuncts_[plan_index[0]].reduced_transitive, true,
+            ndb, reduced_transitive(survivors[0]), true,
             /*already_reduced=*/true, budget);
         if (witness.exhausted) {
           return ExhaustedStatus(budget, "engine path-decomposition", result);
@@ -788,7 +770,7 @@ Result<EntailResult> PreparedQuery::EvaluateWith(const Database& db,
     }
     case EngineKind::kBoundedWidth: {
       BoundedWidthOutcome outcome = EntailBoundedWidth(
-          ndb, disjuncts_[plan_index[0]].reduced_transitive,
+          ndb, reduced_transitive(survivors[0]),
           options_.want_countermodel, /*already_reduced=*/true, budget);
       result.entailed = outcome.entailed;
       result.states_visited = outcome.states_visited;
@@ -802,23 +784,12 @@ Result<EntailResult> PreparedQuery::EvaluateWith(const Database& db,
       break;
     }
     case EngineKind::kDisjunctiveSearch: {
+      IODB_CHECK(!transitive_.disjuncts.empty());  // an automata route
       DisjunctiveOptions engine_options;
       engine_options.already_reduced = true;
       engine_options.budget = budget;
-      DisjunctiveOutcome outcome;
-      if (static_reduced_split_.has_value()) {
-        outcome = EntailDisjunctive(ndb, *static_reduced_split_,
-                                    engine_options);
-      } else {
-        NormQuery reduced_query;
-        reduced_query.vocab = vocab_;
-        reduced_query.trivially_true = split_query.trivially_true;
-        for (int idx : plan_index) {
-          reduced_query.disjuncts.push_back(
-              disjuncts_[idx].reduced_transitive);
-        }
-        outcome = EntailDisjunctive(ndb, reduced_query, engine_options);
-      }
+      const DisjunctiveOutcome outcome = EntailDisjunctive(
+          ndb, SurvivorQuery(transitive_, survivors, subset), engine_options);
       result.entailed = outcome.entailed;
       result.states_visited = outcome.states_visited;
       result.check_stats = outcome.check_stats;
@@ -834,7 +805,8 @@ Result<EntailResult> PreparedQuery::EvaluateWith(const Database& db,
     }
     case EngineKind::kOrderFree: {
       OrderFreeOutcome outcome = EntailOrderFree(
-          ndb, split_query, options_.want_countermodel, budget);
+          ndb, SurvivorQuery(query_, survivors, subset),
+          options_.want_countermodel, budget);
       result.entailed = outcome.entailed;
       result.states_visited = outcome.label_tests;
       result.check_stats = outcome.check_stats;
@@ -866,10 +838,21 @@ std::vector<Result<EntailResult>> PreparedQuery::ParallelEvaluateBatch(
     ExecBudget* budget) const {
   for (const Database* db : dbs) IODB_CHECK(db != nullptr);
   if (num_workers <= 1) return EvaluateBatch(dbs, budget);
-  if (dbs.size() == 1) {
-    // One hard query: shard its enumeration subtrees instead.
+  // The fan-out rule (see the header): every worker gets a database, or
+  // the expected route can take milliseconds per database.
+  const EngineKind expected = ExpectedEngine();
+  const bool fan_out = static_cast<int>(dbs.size()) >= num_workers ||
+                       (!trivially_true() &&
+                        (expected == EngineKind::kBruteForce ||
+                         expected == EngineKind::kDisjunctiveSearch));
+  if (!fan_out || dbs.size() == 1) {
+    // On the calling thread; a brute-force evaluation still shards its
+    // enumeration subtrees across the workers.
     std::vector<Result<EntailResult>> results;
-    results.push_back(EvaluateWith(*dbs[0], num_workers, budget));
+    results.reserve(dbs.size());
+    for (const Database* db : dbs) {
+      results.push_back(EvaluateWith(*db, num_workers, budget));
+    }
     return results;
   }
 
@@ -901,22 +884,16 @@ Result<long long> PreparedQuery::EnumerateCountermodels(
     const std::function<bool(const FiniteModel&)>& on_countermodel,
     ExecBudget* budget) const {
   IODB_CHECK(on_countermodel != nullptr);
-  if (budget != nullptr && !budget->Poll()) {
-    return ExhaustedStatus(budget, "enumeration admission", EntailResult{});
-  }
-  Result<NormDbRef> view = NormDbFor(db);
-  if (!view.ok()) return view.status();
-  const NormDb& ndb = *view.value().ndb;
-  const std::optional<AssembledQuery> assembled = AssembleSplitQuery(ndb);
-  const NormQuery& split_query =
-      assembled.has_value() ? assembled->query : *static_split_;
-  const std::vector<int>& plan_index =
-      assembled.has_value() ? assembled->plan_index : static_plan_index_;
-
-  if (split_query.trivially_true) return 0;  // no model falsifies TRUE
+  Result<Admitted> admitted = Admit(db, budget, "enumeration admission");
+  if (!admitted.ok()) return admitted.status();
+  if (admitted.value().trivially_true) return 0;  // no model falsifies TRUE
+  const NormDb& ndb = *admitted.value().view.ndb;
+  const std::vector<int>& survivors = admitted.value().survivors;
+  std::optional<NormQuery> subset;  // built only when a disjunct dropped
+  const NormQuery& split_query = SurvivorQuery(query_, survivors, subset);
 
   long long reported = 0;
-  if (split_query.IsMonadicOrderOnly() && !split_query.disjuncts.empty()) {
+  if (admitted.value().monadic && !survivors.empty()) {
     // The engine reduces the disjuncts itself: enumeration is rare, and
     // plans on routes that never reach the automata do not memoize the
     // reductions.
@@ -941,8 +918,8 @@ Result<long long> PreparedQuery::EnumerateCountermodels(
   // minimal models through the incremental builder and filter with the
   // plan-memoized matchers; only actual countermodels are materialized.
   std::vector<const CompiledConjunct*> compiled;
-  compiled.reserve(plan_index.size());
-  for (int idx : plan_index) compiled.push_back(&disjuncts_[idx].compiled);
+  compiled.reserve(survivors.size());
+  for (int idx : survivors) compiled.push_back(&disjuncts_[idx].compiled);
   ModelBuilder builder(ndb);
   QueryMatcher matcher(split_query,
                        split_query.disjuncts.empty() ? nullptr : &compiled);
@@ -985,7 +962,7 @@ std::string PreparedQuery::Explain() const {
   std::string out = "prepared query: " + Plural(disjuncts_.size(), "disjunct") +
                     ", semantics=" + OrderSemanticsName(options_.semantics) +
                     ", engine=" + EngineKindName(options_.engine) + "\n";
-  if (trivially_true_) out += "  (trivially true)\n";
+  if (trivially_true()) out += "  (trivially true)\n";
   out += "passes:\n";
   for (const PassRecord& record : passes_) {
     out += "  " + pad(QueryPassName(record.id), 22) +
@@ -1054,10 +1031,7 @@ std::string PreparedQuery::Explain(const EntailResult& result,
   }
   // Per-disjunct estimates do not depend on the order of the input, so
   // costing the plan's (possibly reordered) disjuncts lines them up.
-  std::vector<NormConjunct> reduced;
-  reduced.reserve(disjuncts_.size());
-  for (const DisjunctPlan& entry : disjuncts_) reduced.push_back(entry.reduced);
-  const QueryPlanChoice choice = planner->PlanQuery(reduced);
+  const QueryPlanChoice choice = planner->PlanQuery(query_.disjuncts);
   // Explain is rare; a copy carrying the new estimates keeps it simple.
   PreparedQuery recosted(*this);
   for (size_t i = 0; i < disjuncts_.size(); ++i) {

@@ -27,17 +27,21 @@
 //
 // Each pass does its work once: passes 1-2 read the caller's query in
 // place (a new surface query exists only when a pass rewrote it), the
-// disjuncts move from pass to pass rather than being copied, and the
-// monadic automata artifacts (transitive reductions) are built only for
-// plans that can dispatch to an automata engine.
+// disjuncts are transformed in place in the one NormQuery the engines
+// read (the planner reads it there too), and the monadic automata
+// artifacts (transitive reductions) are built only for plans that can
+// dispatch to an automata engine. Each compiled disjunct is stored once;
+// an evaluation copies conjuncts only when ground-fact filtering drops a
+// disjunct on that database.
 //
 // The resulting `PreparedQuery` is an inspectable plan: `Evaluate(db)`
 // finishes the cheap database-dependent work (memoized normalization via
 // Database::NormView, ground-fact filtering, dispatch), `EvaluateBatch`
-// amortizes one plan across many databases, and `Explain()` renders the
-// plan as text. `Entails()` in core/engine.h is a thin wrapper over
-// Prepare + Evaluate, so both paths return identical verdicts and engine
-// choices by construction.
+// amortizes one plan across many databases, `ParallelEvaluateBatch` owns
+// the rule for when a batch fans out across worker threads, and
+// `Explain()` renders the plan as text. `Entails()` in core/engine.h is a
+// thin wrapper over Prepare + Evaluate, so both paths return identical
+// verdicts and engine choices by construction.
 
 #ifndef IODB_CORE_PREPARE_H_
 #define IODB_CORE_PREPARE_H_
@@ -85,20 +89,10 @@ struct PassRecord {
   std::string detail;
 };
 
-/// Per-disjunct plan entry: the compiled disjunct plus its static
-/// classification.
+/// Per-disjunct plan entry: the static facts about one compiled disjunct.
+/// The disjunct itself is PreparedQuery::reduced(i) (and, on automata
+/// routes, PreparedQuery::reduced_transitive(i)) for the entry's index i.
 struct DisjunctPlan {
-  /// The disjunct after normalization, semantics reduction and the static
-  /// object/order split (object components disconnected from every order
-  /// variable are stripped).
-  NormConjunct reduced;
-  /// `reduced` after labelled transitive reduction, memoized here so the
-  /// monadic automata engines never pay the reduction per evaluation.
-  /// Built only for a monadic disjunct of a plan that can dispatch to
-  /// bounded width, path decomposition or disjunctive search: under a
-  /// forced one of those engines, or under kAuto unless every disjunct
-  /// is order-free. Otherwise it stays empty (no order variables).
-  NormConjunct reduced_transitive;
   /// The memoized model-check schedule of `reduced` (topological variable
   /// order, constraint/atom schedules) for the brute-force matcher: the
   /// topological sort runs once at prepare time, not per model.
@@ -188,16 +182,25 @@ class PreparedQuery {
       std::span<const Database* const> dbs,
       ExecBudget* budget = nullptr) const;
 
-  /// As EvaluateBatch, sharded across a small worker pool. Results are
+  /// As EvaluateBatch, on a small worker pool. The batch fans its
+  /// databases out across the workers only when it has at least one per
+  /// worker, or when the plan's expected route (ExpectedEngine) is brute
+  /// force or the disjunctive search, whose evaluations can take
+  /// milliseconds or more. Otherwise each database runs on the calling
+  /// thread: there helper threads would cost more than the
+  /// microsecond-scale evaluations they take over, and on a busy server
+  /// they take cores from other sessions. A database not fanned out
+  /// still goes through the one-database path, which shards the
+  /// enumeration subtrees of a brute-force evaluation across the
+  /// workers (a single-database batch always takes it). Results are
   /// written to their input slots (deterministic merge: result[i] is
-  /// always db[i]'s verdict, independent of scheduling); duplicate
-  /// Database pointers are evaluated once and their result copied. A
-  /// single-database batch with a brute-force plan shards the enumeration
-  /// subtrees of that one query instead. `num_workers <= 1` degrades to
-  /// EvaluateBatch; callers pick DefaultWorkerCount() (util/parallel.h)
-  /// for "whatever the machine has". The shared `budget` (thread-safe)
-  /// governs every in-flight shard at once — the seam batch-level
-  /// deadlines and cancellation propagate through.
+  /// always db[i]'s verdict, independent of scheduling); a fanned-out
+  /// batch evaluates duplicate Database pointers once and copies the
+  /// result. `num_workers <= 1` degrades to EvaluateBatch; callers pick
+  /// DefaultWorkerCount() (util/parallel.h) for "whatever the machine
+  /// has". The shared `budget` (thread-safe) governs every in-flight
+  /// shard at once — the seam batch-level deadlines and cancellation
+  /// propagate through.
   std::vector<Result<EntailResult>> ParallelEvaluateBatch(
       std::span<const Database* const> dbs, int num_workers,
       ExecBudget* budget = nullptr) const;
@@ -246,8 +249,21 @@ class PreparedQuery {
   /// prepared from the same query text and options (see CostPlanOutcome).
   const CostPlanOutcome& cost_outcome() const { return cost_outcome_; }
 
+  /// Disjunct i after normalization, semantics reduction and the static
+  /// object/order split (object components disconnected from every order
+  /// variable are stripped), in plan order: disjuncts()[i] describes it.
+  const NormConjunct& reduced(size_t i) const { return query_.disjuncts[i]; }
+
+  /// reduced(i) after labelled transitive reduction, memoized so the
+  /// monadic automata engines never pay the reduction per evaluation.
+  /// Built only for a monadic disjunct of a plan that can dispatch to
+  /// bounded width, path decomposition or disjunctive search: under a
+  /// forced one of those engines, or under kAuto unless every disjunct
+  /// is order-free. Otherwise it is empty (no order variables).
+  const NormConjunct& reduced_transitive(size_t i) const;
+
   /// True if compilation already proved the query TRUE in every model.
-  bool trivially_true() const { return trivially_true_; }
+  bool trivially_true() const { return query_.trivially_true; }
 
   /// The statically planned engine: the dispatch choice assuming every
   /// disjunct survives ground-fact filtering against an inequality-free
@@ -298,19 +314,26 @@ class PreparedQuery {
   /// for plain plans, a per-plan cached transformed copy otherwise.
   Result<NormDbRef> NormDbFor(const Database& db) const;
 
-  /// The evaluation-time assembly: the surviving disjuncts plus their
-  /// indices into disjuncts_ (for the memoized per-disjunct artifacts).
-  struct AssembledQuery {
-    NormQuery query;
-    /// query.disjuncts[i] == disjuncts_[plan_index[i]].reduced.
-    std::vector<int> plan_index;
+  /// What every evaluation starts from: the normalized database, the
+  /// plan indices of the disjuncts that survive its ground object facts,
+  /// and what holds of those survivors.
+  struct Admitted {
+    NormDbRef view;
+    std::vector<int> survivors;
+    /// The query is TRUE in every model of the database.
+    bool trivially_true = false;
+    /// Every survivor is monadic-order / order-free (vacuously true when
+    /// none survives).
+    bool monadic = true;
+    bool order_free = true;
   };
 
-  /// Evaluation-time half of the object/order split: drops the disjuncts
-  /// whose object part fails against the ground facts of `ndb`. When no
-  /// disjunct carries an object part the result is database-independent;
-  /// `static_split_` holds it precomputed and this returns nothing.
-  std::optional<AssembledQuery> AssembleSplitQuery(const NormDb& ndb) const;
+  /// The shared preamble of Evaluate and EnumerateCountermodels: the
+  /// budget's admission poll (failing as `what`), NormDbFor, and the
+  /// evaluation-time half of the object/order split, which drops every
+  /// disjunct whose object part fails against the ground facts.
+  Result<Admitted> Admit(const Database& db, ExecBudget* budget,
+                         const char* what) const;
 
   /// Evaluate with the brute-force enumeration sharded over num_threads
   /// workers (1 = serial; Evaluate() is EvaluateWith(db, 1, budget)).
@@ -324,23 +347,16 @@ class PreparedQuery {
   std::vector<ConstantShift::Marker> markers_;
   bool needs_sentinels_ = false;
   int sentinel_vars_ = 0;
-  bool trivially_true_ = false;
   EngineKind planned_engine_ = EngineKind::kAuto;
   // What the cost-plan pass accepted. Its engine route is taken at
   // Evaluate when the options say kAuto and the route is applicable.
   CostPlanOutcome cost_outcome_;
-  // The assembled query, precomputed when no disjunct has an object part
-  // (then ground-fact filtering never drops anything, so the split is
-  // database-independent and evaluations skip the per-call rebuild). A
-  // second copy of the reduced conjuncts: plan-sized memory traded for
-  // evaluation-path speed. static_reduced_split_ is the same query with
-  // the memoized transitive-reduced disjuncts, handed to the disjunctive
-  // automata engine; it is built only when every disjunct has its
-  // reduced_transitive (see DisjunctPlan). Both share static_plan_index_
-  // (identity).
-  std::optional<NormQuery> static_split_;
-  std::optional<NormQuery> static_reduced_split_;
-  std::vector<int> static_plan_index_;
+  // The compiled disjuncts (reduced(i)), parallel to disjuncts_, and on
+  // plans that can reach an automata engine their transitive reductions
+  // (reduced_transitive(i); otherwise no disjuncts). Each carries the
+  // query's trivially_true flag.
+  NormQuery query_;
+  NormQuery transitive_;
 
   // Per-database cache of the transformed-and-normalized view for plans
   // with NeedsDbTransform(), keyed by Database::uid with a revision stamp

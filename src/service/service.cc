@@ -10,20 +10,6 @@
 #include "util/parallel.h"
 
 namespace iodb {
-namespace {
-
-// True when `plan` is expected to run a polynomial engine (order-free,
-// bounded width or path decomposition). A trivially true plan runs no
-// engine.
-bool OnPolynomialRoute(const PreparedQuery& plan) {
-  if (plan.trivially_true()) return true;
-  const EngineKind engine = plan.ExpectedEngine();
-  return engine == EngineKind::kOrderFree ||
-         engine == EngineKind::kBoundedWidth ||
-         engine == EngineKind::kPathDecomposition;
-}
-
-}  // namespace
 
 std::string ServiceStats::ToString() const {
   auto line = [](const char* name, long long value) {
@@ -300,9 +286,9 @@ std::vector<Result<EvalResponse>> EvaluationService::EvalBatch(
     groups[it->second].push_back(i);
   }
 
-  // Phase 3: evaluate group by group; the pool shards within a group
-  // (duplicate databases are deduped inside ParallelEvaluateBatch, and a
-  // single-database brute-force group shards its enumeration subtrees).
+  // Phase 3: evaluate group by group. ParallelEvaluateBatch decides
+  // whether a group fans out across the workers (its fan-out rule is in
+  // core/prepare.h).
   for (const std::vector<size_t>& group : groups) {
     const PreparedQuery& plan = *slots[group[0]].plan;
     std::vector<const Database*> dbs;
@@ -323,33 +309,13 @@ std::vector<Result<EvalResponse>> EvaluationService::EvalBatch(
     }
     ExecBudget budget;
     if (min_deadline_ms >= 0) {
-      budget.SetDeadline(batch_start +
-                         std::chrono::milliseconds(min_deadline_ms));
+      budget.SetDeadline(DeadlineAfterMs(batch_start, min_deadline_ms));
     }
     if (min_steps >= 0) budget.SetStepLimit(min_steps);
     if (cancel != nullptr) budget.SetCancelToken(cancel);
-    // Fan a group's databases out when every worker gets one, or when
-    // the plan routes to an engine whose evaluations can take
-    // milliseconds or more. A smaller group on a polynomial route runs
-    // on the calling thread: there the helper threads cost more than the
-    // microsecond-scale evaluations they take over, and on a busy server
-    // they take cores from other sessions. Each of its databases still
-    // goes through the one-database path, so an evaluation that falls
-    // back to brute force shards its enumeration.
-    ExecBudget* governed = budget.limited() ? &budget : nullptr;
-    std::vector<Result<EntailResult>> verdicts;
-    if (static_cast<int>(group.size()) >= num_workers_ ||
-        !OnPolynomialRoute(plan)) {
-      verdicts = plan.ParallelEvaluateBatch(dbs, num_workers_, governed);
-    } else {
-      verdicts.reserve(dbs.size());
-      for (const Database* db : dbs) {
-        verdicts.push_back(std::move(
-            plan.ParallelEvaluateBatch(std::span(&db, 1), num_workers_,
-                                       governed)
-                .front()));
-      }
-    }
+    std::vector<Result<EntailResult>> verdicts =
+        plan.ParallelEvaluateBatch(dbs, num_workers_,
+                                   budget.limited() ? &budget : nullptr);
     for (size_t k = 0; k < group.size(); ++k) {
       const size_t i = group[k];
       if (!verdicts[k].ok()) {

@@ -20,13 +20,12 @@
 //     same plan, with hit/miss/eviction counters; once full, it files
 //     only plans whose text missed before (one-shot texts are served
 //     unfiled);
-//   * batch scheduling onto the PR-3 worker pool
-//     (PreparedQuery::ParallelEvaluateBatch): a batch is grouped by
-//     compiled plan, a group fans its databases across the workers
-//     when it has one per worker or its plan routes to brute force or
-//     the disjunctive search, and results land in their request slots —
-//     the response order is deterministic and independent of
-//     scheduling.
+//   * batch scheduling onto the worker pool (util/parallel.h): a batch
+//     is grouped by compiled plan, each group is one
+//     PreparedQuery::ParallelEvaluateBatch call, which owns the rule for
+//     when the group's databases fan out across the workers, and
+//     results land in their request slots — the response order is
+//     deterministic and independent of scheduling.
 //
 // Thread-safety: the service is fully synchronized — any number of
 // threads may call Eval/EvalBatch concurrently with each other and with
@@ -170,16 +169,13 @@ class EvaluationService {
   Result<EvalResponse> Eval(const EvalRequest& request,
                             const CancelToken* cancel = nullptr);
 
-  /// Serves a batch: requests are grouped by compiled plan, a group's
-  /// databases are fanned across the worker pool when there is at least
-  /// one per worker or the plan routes to brute force or the disjunctive
-  /// search (smaller groups on a polynomial route, order-free included,
-  /// run on the calling thread, one database at a time, each still
-  /// sharding a brute-force enumeration should it fall back to one), and
-  /// results[i] is always the verdict of requests[i] regardless of
-  /// scheduling. Every
-  /// member pins its database version at batch start. Per-request
-  /// failures (unknown database, parse errors) fail only their own slot.
+  /// Serves a batch: requests are grouped by compiled plan, each group is
+  /// evaluated by one PreparedQuery::ParallelEvaluateBatch call on the
+  /// service's workers (its doc gives the rule for when a group fans
+  /// out), and results[i] is always the verdict of requests[i]
+  /// regardless of scheduling. Every member pins its database version at
+  /// batch start. Per-request failures (unknown database, parse errors)
+  /// fail only their own slot.
   ///
   /// Batch governance scope: each plan group shares one ExecBudget — its
   /// deadline is the batch start plus the smallest effective member

@@ -2,12 +2,22 @@
 
 namespace iodb {
 
+std::chrono::steady_clock::time_point DeadlineAfterMs(
+    std::chrono::steady_clock::time_point start, long long ms) {
+  using Clock = std::chrono::steady_clock;
+  const long long headroom_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          Clock::time_point::max() - start)
+          .count();
+  if (ms >= headroom_ms) return Clock::time_point::max();
+  return start + std::chrono::milliseconds(ms);
+}
+
 void ExecBudget::SetDeadlineAfterMs(long long ms) {
   if (ms < 0) {
     has_deadline_ = false;
   } else {
-    SetDeadline(std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(ms));
+    SetDeadline(DeadlineAfterMs(std::chrono::steady_clock::now(), ms));
     return;
   }
   limited_ = has_deadline_ || step_limit_ >= 0 || cancel_ != nullptr;

@@ -59,6 +59,13 @@ enum class BudgetExhaustion {
   kCancelled  // the CancelToken fired
 };
 
+/// `start` plus `ms` milliseconds (`ms` >= 0), saturating at
+/// time_point::max(): the sum is held in int64 nanoseconds, so a plain
+/// `start + milliseconds(ms)` overflows (undefined behaviour, in practice
+/// a deadline in the past) from about 9.2e12 ms on.
+std::chrono::steady_clock::time_point DeadlineAfterMs(
+    std::chrono::steady_clock::time_point start, long long ms);
+
 /// Shared, thread-safe execution budget. Configure before handing it to
 /// an evaluation (the setters are not synchronized against Charge());
 /// share one instance across all workers of a parallel evaluation.

@@ -27,6 +27,11 @@
 //     and shares no code with the engines, the Z sentinels and the Q
 //     closure included.
 //
+// A second corpus, the object-sorted family, adds object constants and
+// object-sorted facts (ObjectSortedInstancesAgreeWithTheOracle): it
+// checks the object/order split and the per-database filter of carved-off
+// object components against the oracle under all three semantics.
+//
 // All verdicts must be identical. A mismatch aborts the suite and prints
 // a self-contained repro: the seed plus the database and query rendered
 // by the printer (both parse back with tools/iodb_eval).
@@ -41,6 +46,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -527,6 +533,179 @@ TEST(ConformanceFuzzTest, EdgeInstancesAgreeWithTheOracle) {
               << repro;
         }
       }
+    }
+  }
+}
+
+// The object-sorted family. Every other instance is monadic order, so
+// the object/order split (a disjunct's components touching no order
+// variable are carved off at Prepare and checked against the database's
+// ground object facts at evaluation) never fires on them. Here the
+// database adds 1-3 object constants with unary facts O0/O1 and
+// object-order facts R(a, u); each disjunct of the query has a monadic
+// order part and, at random, an object-only component (O0(x), O0(x) &
+// O1(x), or a guard on a database object constant) that holds on some
+// databases and fails on others, and/or an R atom tying an object
+// variable to an order variable (which keeps it off the carve-off and
+// off the monadic engines).
+struct ObjectInstance {
+  Database db;
+  Query query;
+  std::string query_text;
+};
+
+ObjectInstance DrawObjectInstance(uint64_t seed, const VocabularyPtr& vocab) {
+  Rng rng(seed);
+  MonadicDbParams params;
+  params.num_chains = rng.UniformInt(1, 2);
+  params.chain_length = rng.UniformInt(2, 3);
+  params.num_predicates = 2;
+  params.label_probability = rng.UniformInt(30, 70) / 100.0;
+  params.le_probability = rng.UniformInt(0, 40) / 100.0;
+  Database db = RandomMonadicDb(params, vocab, rng);
+  const int o0 = vocab->MustAddPredicate("O0", {Sort::kObject});
+  const int o1 = vocab->MustAddPredicate("O1", {Sort::kObject});
+  const int r = vocab->MustAddPredicate("R", {Sort::kObject, Sort::kOrder});
+  const int num_objects = rng.UniformInt(1, 3);
+  for (int i = 0; i < num_objects; ++i) {
+    const int a = db.GetOrAddConstant("a" + std::to_string(i), Sort::kObject);
+    for (int pred : {o0, o1}) {
+      if (rng.Bernoulli(0.5)) db.AddProperAtom(pred, {{Sort::kObject, a}});
+    }
+    for (int u = 0; u < db.num_order_constants(); ++u) {
+      if (rng.Bernoulli(0.25)) {
+        db.AddProperAtom(r, {{Sort::kObject, a}, {Sort::kOrder, u}});
+      }
+    }
+  }
+
+  std::string text;
+  const int num_disjuncts = rng.UniformInt(1, 3);
+  for (int d = 0; d < num_disjuncts; ++d) {
+    std::vector<std::string> vars;
+    std::vector<std::string> atoms;
+    // The order part: a labelled chain, its edges drawn at random (none
+    // leaves the disjunct order-free).
+    const int order_vars = rng.Bernoulli(0.15) ? 0 : rng.UniformInt(1, 3);
+    for (int v = 0; v < order_vars; ++v) {
+      const std::string t = "t" + std::to_string(v);
+      vars.push_back(t);
+      atoms.push_back("P" + std::to_string(rng.UniformInt(0, 1)) + "(" + t +
+                      ")");
+      if (v > 0 && rng.Bernoulli(0.5)) {
+        atoms.push_back("t" + std::to_string(v - 1) +
+                        (rng.Bernoulli(0.3) ? " <= " : " < ") + t);
+      }
+    }
+    // The object-only component, carved off at Prepare.
+    switch (order_vars == 0 ? rng.UniformInt(1, 3) : rng.UniformInt(0, 3)) {
+      case 1:
+        vars.push_back("x");
+        atoms.push_back("O" + std::to_string(rng.UniformInt(0, 1)) + "(x)");
+        break;
+      case 2:
+        vars.push_back("x");
+        atoms.push_back("O0(x)");
+        atoms.push_back("O1(x)");
+        break;
+      case 3:
+        atoms.push_back("O" + std::to_string(rng.UniformInt(0, 1)) + "(a" +
+                        std::to_string(rng.UniformInt(0, num_objects - 1)) +
+                        ")");
+        break;
+      default:
+        break;
+    }
+    // An object variable tied to the order part.
+    if (order_vars > 0 && rng.Bernoulli(0.3)) {
+      vars.push_back("y");
+      atoms.push_back("R(y, t" +
+                      std::to_string(rng.UniformInt(0, order_vars - 1)) + ")");
+      if (rng.Bernoulli(0.5)) atoms.push_back("O0(y)");
+    }
+    if (d > 0) text += " | ";
+    if (!vars.empty()) {
+      text += "exists";
+      for (const std::string& var : vars) text += " " + var;
+      text += ": ";
+    }
+    for (size_t i = 0; i < atoms.size(); ++i) {
+      text += (i > 0 ? " & " : "") + atoms[i];
+    }
+  }
+  Result<Query> query = ParseQuery(text, vocab);
+  IODB_CHECK(query.ok());
+  return ObjectInstance{std::move(db), std::move(query.value()), text};
+}
+
+TEST(ConformanceFuzzTest, ObjectSortedInstancesAgreeWithTheOracle) {
+  const std::optional<uint64_t> single = FuzzSingleSeed();
+  const int iterations =
+      single.has_value() ? 1 : std::max(1, FuzzIterations() / 4);
+  constexpr uint64_t kObjectSeedBase = 20261019000ULL;
+  // Forced engines that refuse an instance (kUnsupported) do not apply to
+  // it; each must still run on part of the corpus.
+  std::map<EngineKind, int> ran;
+  for (int i = 0; i < iterations; ++i) {
+    const uint64_t seed = single.has_value()
+                              ? *single
+                              : kObjectSeedBase + static_cast<uint64_t>(i);
+    auto vocab = std::make_shared<Vocabulary>();
+    const ObjectInstance instance = DrawObjectInstance(seed, vocab);
+    for (OrderSemantics semantics :
+         {OrderSemantics::kFinite, OrderSemantics::kInteger,
+          OrderSemantics::kRational}) {
+      const std::string repro =
+          "=== object-family repro (seed " + std::to_string(seed) +
+          ") ===\nrerun: IODB_FUZZ_SEED=" + std::to_string(seed) +
+          " ./conformance_fuzz_test "
+          "--gtest_filter=*ObjectSortedInstances*\nsemantics: " +
+          OrderSemanticsName(semantics) +
+          "\n--- database ---\npred O0(object)\npred O1(object)\n"
+          "pred R(object, order)\n" +
+          ToString(instance.db) + "--- query ---\n" + instance.query_text +
+          "\n";
+      Result<oracle::Verdict> expected =
+          oracle::Decide(instance.db, instance.query, semantics);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString() << "\n"
+                                 << repro;
+      ASSERT_NE(expected.value(), oracle::Verdict::kInconsistent) << repro;
+      const bool entailed = expected.value() == oracle::Verdict::kEntailed;
+      for (const bool costed : {false, true}) {
+        for (EngineKind engine :
+             {EngineKind::kAuto, EngineKind::kBruteForce,
+              EngineKind::kDisjunctiveSearch, EngineKind::kBoundedWidth,
+              EngineKind::kPathDecomposition, EngineKind::kOrderFree}) {
+          EntailOptions options;
+          options.semantics = semantics;
+          options.engine = engine;
+          if (costed) options.planner = stats::PlannerFor(instance.db);
+          Result<EntailResult> result =
+              Entails(instance.db, instance.query, options);
+          if (!result.ok() && engine != EngineKind::kAuto &&
+              engine != EngineKind::kBruteForce &&
+              result.status().code() == StatusCode::kUnsupported) {
+            continue;
+          }
+          ASSERT_TRUE(result.ok())
+              << EngineKindName(engine) << (costed ? " (costed)" : "")
+              << " failed: " << result.status().ToString() << "\n"
+              << repro;
+          ASSERT_EQ(result.value().entailed, entailed)
+              << EngineKindName(engine) << (costed ? " (costed)" : "")
+              << " disagrees with the oracle ("
+              << (entailed ? "ENTAILED" : "NOT ENTAILED") << ")\n"
+              << repro;
+          ++ran[engine];
+        }
+      }
+    }
+  }
+  if (!single.has_value()) {
+    for (EngineKind engine :
+         {EngineKind::kDisjunctiveSearch, EngineKind::kBoundedWidth,
+          EngineKind::kPathDecomposition, EngineKind::kOrderFree}) {
+      EXPECT_GT(ran[engine], 0) << EngineKindName(engine);
     }
   }
 }

@@ -421,7 +421,7 @@ TEST(CostModelTest, SchedulesSelectiveLabelFirst) {
   query.AddDisjunct().Exists("t1").Exists("t2").Atom("Common", {"t1"}).Atom(
       "Rare", {"t2"});
   PreparedQuery prepared = MustPrepare(vocab, query);
-  const NormConjunct& conjunct = prepared.disjuncts()[0].reduced;
+  const NormConjunct& conjunct = prepared.reduced(0);
   ASSERT_EQ(conjunct.num_order_vars(), 2);
 
   std::vector<int> sequence;
@@ -454,8 +454,8 @@ TEST(CostModelTest, OrdersDisjunctsCheapestFirst) {
   query.AddDisjunct().Exists("t").Atom("Rare", {"t"});    // est 1
   PreparedQuery base = MustPrepare(vocab, query);
   std::vector<NormConjunct> disjuncts;
-  for (const DisjunctPlan& entry : base.disjuncts()) {
-    disjuncts.push_back(entry.reduced);
+  for (size_t d = 0; d < base.disjuncts().size(); ++d) {
+    disjuncts.push_back(base.reduced(d));
   }
 
   QueryPlanChoice choice = model.PlanQuery(disjuncts);
@@ -475,8 +475,8 @@ TEST(CostModelTest, ChainDatabaseRoutesMultiDisjunctToBruteForce) {
   query.AddDisjunct().Exists("t").Atom("Common", {"t"});
   PreparedQuery prepared = MustPrepare(vocab, query);
   std::vector<NormConjunct> disjuncts;
-  for (const DisjunctPlan& entry : prepared.disjuncts()) {
-    disjuncts.push_back(entry.reduced);
+  for (size_t d = 0; d < prepared.disjuncts().size(); ++d) {
+    disjuncts.push_back(prepared.reduced(d));
   }
 
   // An all-strict total chain has exactly one minimal model: route the

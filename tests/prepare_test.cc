@@ -572,10 +572,9 @@ TEST(PrepareTest, OrderFreePlanCountermodelsMatchTheDisjunctiveSearch) {
     const PreparedQuery full = MustPrepare(vocab, query, forced);
     ASSERT_EQ(lean.planned_engine(), EngineKind::kOrderFree) << i;
     for (size_t d = 0; d < lean.disjuncts().size(); ++d) {
-      EXPECT_EQ(lean.disjuncts()[d].reduced_transitive.num_order_vars(), 0)
-          << i;
-      EXPECT_EQ(full.disjuncts()[d].reduced_transitive.num_order_vars(),
-                full.disjuncts()[d].reduced.num_order_vars())
+      EXPECT_EQ(lean.reduced_transitive(d).num_order_vars(), 0) << i;
+      EXPECT_EQ(full.reduced_transitive(d).num_order_vars(),
+                full.reduced(d).num_order_vars())
           << i;
     }
     long long lean_count = -1;
@@ -608,7 +607,7 @@ TEST(PrepareTest, TransitiveReductionsBuiltOnlyWhereAnAutomatonReadsThem) {
     Result<EntailResult> result = plan.Evaluate(db.value());
     EXPECT_TRUE(result.ok());
     EXPECT_TRUE(result.value().entailed);
-    return plan.disjuncts()[0].reduced_transitive.dag.num_edges();
+    return plan.reduced_transitive(0).dag.num_edges();
   };
   EXPECT_EQ(reduced_edges(EngineKind::kAuto), 2);
   EXPECT_EQ(reduced_edges(EngineKind::kBoundedWidth), 2);

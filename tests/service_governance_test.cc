@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <string>
 #include <vector>
 
@@ -137,6 +138,44 @@ TEST(ServiceGovernanceTest, PreCancelledTokenFailsWithCancelled) {
   Result<EvalResponse> response = service.Eval(MakeRequest(), &token);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kCancelled);
+}
+
+// A deadline too far off for the clock's int64 nanoseconds saturates
+// instead of wrapping into the past: the request, its batch and the
+// service default all answer as an ungoverned request does.
+TEST(ServiceGovernanceTest, FarDeadlinesAnswerAsUngoverned) {
+  for (long long deadline_ms : {10000000000000LL, LLONG_MAX}) {
+    EvaluationService service;
+    ASSERT_TRUE(service.Load("t", kDbText).ok());
+    Result<EvalResponse> plain = service.Eval(MakeRequest());
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    ASSERT_TRUE(plain.value().entailed);
+    auto expect_plain = [&](const Result<EvalResponse>& response,
+                            const char* where) {
+      ASSERT_TRUE(response.ok())
+          << where << " " << deadline_ms << ": "
+          << response.status().ToString();
+      EXPECT_EQ(response.value().entailed, plain.value().entailed) << where;
+      EXPECT_EQ(response.value().engine_used, plain.value().engine_used)
+          << where;
+    };
+    expect_plain(service.Eval(MakeRequest(deadline_ms)), "eval");
+    const std::vector<EvalRequest> requests = {MakeRequest(deadline_ms),
+                                               MakeRequest()};
+    for (const Result<EvalResponse>& response : service.EvalBatch(requests)) {
+      expect_plain(response, "batch");
+    }
+
+    ServiceOptions options;
+    options.default_deadline_ms = deadline_ms;
+    EvaluationService defaulted(options);
+    ASSERT_TRUE(defaulted.Load("t", kDbText).ok());
+    expect_plain(defaulted.Eval(MakeRequest()), "default eval");
+    for (const Result<EvalResponse>& response :
+         defaulted.EvalBatch(std::vector<EvalRequest>{MakeRequest()})) {
+      expect_plain(response, "default batch");
+    }
+  }
 }
 
 // --- EvalBatch -------------------------------------------------------------

@@ -275,6 +275,44 @@ void Database::AppendFactSegment(int pred, const int* flat_args,
   revision_ += count;  // one bump per fact, as repeated AddProperAtom
 }
 
+void Database::AppendAtoms(std::vector<ProperAtom> proper_atoms,
+                           std::vector<OrderAtom> order_atoms,
+                           std::vector<InequalityAtom> inequalities) {
+  const int num_objects = num_object_constants();
+  const int num_orders = num_order_constants();
+  auto check_order = [num_orders](int id) {
+    IODB_CHECK_GE(id, 0);
+    IODB_CHECK_LT(id, num_orders);
+  };
+  for (const ProperAtom& atom : proper_atoms) {
+    for (const Term& term : atom.args) {
+      IODB_CHECK_GE(term.id, 0);
+      IODB_CHECK_LT(term.id,
+                    term.sort == Sort::kObject ? num_objects : num_orders);
+    }
+  }
+  for (const OrderAtom& atom : order_atoms) {
+    check_order(atom.lhs);
+    check_order(atom.rhs);
+  }
+  for (const InequalityAtom& atom : inequalities) {
+    check_order(atom.lhs);
+    check_order(atom.rhs);
+  }
+  revision_ += proper_atoms.size() + order_atoms.size() + inequalities.size();
+  auto append = [](auto& table, auto&& atoms) {
+    if (table.empty()) {
+      table = std::move(atoms);
+    } else {
+      table.insert(table.end(), std::make_move_iterator(atoms.begin()),
+                   std::make_move_iterator(atoms.end()));
+    }
+  };
+  append(proper_atoms_, std::move(proper_atoms));
+  append(order_atoms_, std::move(order_atoms));
+  append(inequalities_, std::move(inequalities));
+}
+
 Database Database::ForkNextVersion() const {
   Database fork(*this);  // fresh uid, shares the memoized NormView
   fork.uid_ = uid_;      // ...which the original identity reclaims
@@ -383,22 +421,24 @@ Result<NormDb> Normalize(const Database& db) {
                      PredSet(norm.vocab->num_predicates()));
 
   // Deduplicate edges; "<" dominates "<=". Rule N2 (u <= u) drops here.
-  std::unordered_map<int64_t, OrderRel> strongest;
+  // Edges are emitted sorted by (u, v) so normalization is deterministic:
+  // sort the point pairs, then each run of one pair is one edge.
+  std::vector<std::pair<int64_t, OrderRel>> edges;
+  edges.reserve(db.order_atoms().size());
   for (const OrderAtom& atom : db.order_atoms()) {
     int u = norm.point_of_constant[atom.lhs];
     int v = norm.point_of_constant[atom.rhs];
     if (u == v) continue;  // internal to a merged component: all "<="
-    int64_t key = static_cast<int64_t>(u) * num_points + v;
-    auto [it, inserted] = strongest.emplace(key, atom.rel);
-    if (!inserted && atom.rel == OrderRel::kLt) it->second = OrderRel::kLt;
+    edges.emplace_back(static_cast<int64_t>(u) * num_points + v, atom.rel);
   }
-  // Insertion order of the map is unspecified; emit edges sorted by key so
-  // normalization is deterministic.
-  std::vector<std::pair<int64_t, OrderRel>> sorted_edges(strongest.begin(),
-                                                         strongest.end());
-  std::sort(sorted_edges.begin(), sorted_edges.end(),
+  std::sort(edges.begin(), edges.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [key, rel] : sorted_edges) {
+  for (size_t i = 0; i < edges.size();) {
+    const int64_t key = edges[i].first;
+    OrderRel rel = OrderRel::kLe;
+    for (; i < edges.size() && edges[i].first == key; ++i) {
+      if (edges[i].second == OrderRel::kLt) rel = OrderRel::kLt;
+    }
     norm.dag.AddEdge(static_cast<int>(key / num_points),
                      static_cast<int>(key % num_points), rel);
   }

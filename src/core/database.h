@@ -127,12 +127,12 @@ class Database {
   void ReserveAtoms(size_t proper_atoms, size_t order_atoms,
                     size_t inequalities);
 
-  /// Storage-layer hook: restores both constant tables wholesale on a
-  /// database that has no constants yet (ids are the vector indices —
-  /// the persisted interning order). Equivalent to GetOrAddConstant per
-  /// name (including revision bumps) minus the per-call overhead; a
-  /// duplicate name across or within the tables is a Status error, so
-  /// corrupt input never trips an internal invariant.
+  /// Bulk-load hook (snapshot restore, the parser): sets both constant
+  /// tables wholesale on a database that has no constants yet (ids are
+  /// the vector indices — the interning order). Equivalent to
+  /// GetOrAddConstant per name (including revision bumps) minus the
+  /// per-call overhead; a duplicate name across or within the tables is
+  /// a Status error, so corrupt input never trips an internal invariant.
   Status RestoreConstantTables(std::vector<std::string> object_names,
                                std::vector<std::string> order_names);
 
@@ -143,6 +143,16 @@ class Database {
   /// bump each) without per-call overhead; ids are range-checked per
   /// segment, so callers decoding untrusted bytes must validate first.
   void AppendFactSegment(int pred, const int* flat_args, size_t count);
+
+  /// Bulk-load hook (the parser): appends whole atom tables whose ids
+  /// index this database's constant tables and whose proper atoms match
+  /// their predicates' signatures. Equivalent to one AddProperAtom /
+  /// AddOrderAtom / AddInequality call per atom in table order (one
+  /// revision bump each) without the per-call signature lookups; ids are
+  /// range-checked.
+  void AppendAtoms(std::vector<ProperAtom> proper_atoms,
+                   std::vector<OrderAtom> order_atoms,
+                   std::vector<InequalityAtom> inequalities);
 
   /// Storage-layer hook: adopts a persisted (uid, revision) identity, so
   /// caches keyed by (uid, revision) recognize a database restored from a

@@ -3,6 +3,7 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 
 #include "storage/io.h"
@@ -17,25 +18,46 @@ LineChannel::ReadStatus LineChannel::ReadLine(std::string* line) {
     // Serve from the buffer first: bytes already read must be consumed
     // before EOF/interrupt is reported, or pipelined commands would be
     // dropped.
-    size_t newline = in_buffer_.find('\n', in_pos_);
+    const size_t newline = in_buffer_.find('\n', scan_pos_);
     if (newline != std::string::npos) {
-      line->assign(in_buffer_, in_pos_, newline - in_pos_);
-      in_pos_ = newline + 1;
-      if (in_pos_ == in_buffer_.size()) {
-        in_buffer_.clear();
-        in_pos_ = 0;
+      const size_t start = in_pos_;
+      const size_t length = newline - start;
+      in_pos_ = scan_pos_ = newline + 1;
+      if (skipped_ > 0 || length > kMaxLineBytes) {
+        too_long_bytes_ = skipped_ + length;
+        skipped_ = 0;
+        return ReadStatus::kTooLong;
       }
+      line->assign(in_buffer_, start, length);
       return ReadStatus::kLine;
     }
+    scan_pos_ = in_buffer_.size();
+    // A partial line past the limit is dropped; only its length is
+    // still needed.
+    if (skipped_ > 0 || in_buffer_.size() - in_pos_ > kMaxLineBytes) {
+      skipped_ += in_buffer_.size() - in_pos_;
+      in_buffer_.clear();
+      in_pos_ = scan_pos_ = 0;
+    }
     if (eof_) {
+      if (skipped_ > 0) {  // a final over-long line without a newline
+        too_long_bytes_ = skipped_;
+        skipped_ = 0;
+        return ReadStatus::kTooLong;
+      }
       if (in_pos_ < in_buffer_.size()) {  // final line without a newline
         line->assign(in_buffer_, in_pos_, in_buffer_.size() - in_pos_);
         in_buffer_.clear();
-        in_pos_ = 0;
+        in_pos_ = scan_pos_ = 0;
         return ReadStatus::kLine;
       }
       return ReadStatus::kEof;
     }
+    // Drop the consumed prefix before reading more: the buffer then holds
+    // at most one partial line plus one chunk.
+    in_buffer_.erase(0, in_pos_);
+    scan_pos_ -= in_pos_;
+    in_pos_ = 0;
 
     // Wait for data or a wake. The wake fd is checked by poll() itself,
     // so a wake byte written before this wait still interrupts it —
@@ -57,7 +79,7 @@ LineChannel::ReadStatus LineChannel::ReadLine(std::string* line) {
     }
     if ((fds[0].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
 
-    char chunk[1 << 16];
+    char chunk[kReadChunk];
     ssize_t n = ::read(read_fd_, chunk, sizeof(chunk));
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -68,6 +90,7 @@ LineChannel::ReadStatus LineChannel::ReadLine(std::string* line) {
       continue;  // deliver any buffered final line first
     }
     in_buffer_.append(chunk, static_cast<size_t>(n));
+    peak_buffered_bytes_ = std::max(peak_buffered_bytes_, in_buffer_.size());
   }
 }
 

@@ -12,6 +12,12 @@
 // drains it, so every subsequent wait returns kInterrupted too (shutdown
 // is terminal).
 //
+// Lines are bounded: a line longer than kMaxLineBytes is not buffered.
+// Once its prefix passes the limit the rest is discarded as it arrives,
+// through the newline, and ReadLine reports kTooLong with the line's full
+// length. So the input buffer never holds more than kMaxLineBytes plus
+// one read chunk, and each newline search resumes where the last stopped.
+//
 // The write side buffers until Flush() (one syscall per response burst)
 // and goes through the storage layer's EINTR/short-write-safe WriteFull.
 
@@ -24,6 +30,11 @@
 
 namespace iodb::server {
 
+/// Command lines (and LOAD/APPEND payload and BATCH request lines) over
+/// this limit are rejected with a structured error instead of being
+/// buffered.
+inline constexpr size_t kMaxLineBytes = size_t{1} << 20;
+
 class LineChannel {
  public:
   /// `read_fd` and `write_fd` may be the same descriptor (a socket).
@@ -33,6 +44,8 @@ class LineChannel {
 
   enum class ReadStatus {
     kLine,         // *line holds the next line (newline stripped)
+    kTooLong,      // the next line exceeded kMaxLineBytes and was skipped;
+                   // too_long_bytes() has its length
     kEof,          // clean end of input
     kInterrupted,  // the wake fd is readable (shutdown/disconnect)
     kError,        // read failed (connection reset, ...)
@@ -42,6 +55,16 @@ class LineChannel {
   /// newline. A final line without a newline is still delivered (kEof
   /// comes on the following call), matching std::getline.
   ReadStatus ReadLine(std::string* line);
+
+  /// The length (newline excluded) of the line the last kTooLong skipped.
+  size_t too_long_bytes() const { return too_long_bytes_; }
+
+  /// The most bytes the input buffer has held at once: at most
+  /// kMaxLineBytes plus one read chunk.
+  size_t peak_buffered_bytes() const { return peak_buffered_bytes_; }
+
+  /// Size of one read() into the input buffer.
+  static constexpr size_t kReadChunk = size_t{1} << 16;
 
   /// Appends to the output buffer. Call Flush() to push to the fd.
   void Write(std::string_view bytes);
@@ -55,7 +78,12 @@ class LineChannel {
   int write_fd_;
   int wake_fd_;
   std::string in_buffer_;
-  size_t in_pos_ = 0;  // consumed prefix of in_buffer_
+  size_t in_pos_ = 0;    // consumed prefix of in_buffer_
+  size_t scan_pos_ = 0;  // in_buffer_[in_pos_, scan_pos_) has no newline
+  // > 0 while skipping an over-long line: its bytes dropped so far.
+  size_t skipped_ = 0;
+  size_t too_long_bytes_ = 0;
+  size_t peak_buffered_bytes_ = 0;
   bool eof_ = false;
   std::string out_buffer_;
 };

@@ -45,6 +45,11 @@ void ProtocolSession::Err(const std::string& message) {
   channel_->Write("ERR " + message + "\n");
 }
 
+void ProtocolSession::ErrLineTooLong(size_t bytes) {
+  Err("line-too-long (" + std::to_string(bytes) + " bytes; limit " +
+      std::to_string(kMaxLineBytes) + ")");
+}
+
 // Prints the full response of one served request: the verdict line plus
 // the optional countermodel and explain payloads. Budget exhaustion is
 // rendered structured ("ERR deadline-exceeded ..."), so clients can
@@ -71,12 +76,17 @@ void ProtocolSession::PrintResponse(const Result<EvalResponse>& response) {
   }
 }
 
-LineChannel::ReadStatus ProtocolSession::ReadUntilEnd(std::string* text) {
+LineChannel::ReadStatus ProtocolSession::ReadUntilEnd(
+    std::string* text, size_t* too_long_bytes) {
   std::string line;
   for (;;) {
     LineChannel::ReadStatus status = channel_->ReadLine(&line);
+    if (status == LineChannel::ReadStatus::kTooLong) {
+      if (*too_long_bytes == 0) *too_long_bytes = channel_->too_long_bytes();
+      continue;
+    }
     if (status != LineChannel::ReadStatus::kLine) return status;
-    if (std::string(StripWhitespace(line)) == "END") {
+    if (StripWhitespace(line) == "END") {
       return LineChannel::ReadStatus::kLine;
     }
     *text += line;
@@ -195,9 +205,14 @@ void ProtocolSession::HandleBatch(const std::string& args, bool* quit) {
   // not leave unread batch payload to be re-interpreted as protocol
   // commands.
   std::vector<std::string> request_lines(static_cast<size_t>(n));
+  size_t too_long = 0;  // the first over-long request line fails the batch
   for (int i = 0; i < n; ++i) {
     LineChannel::ReadStatus status =
         channel_->ReadLine(&request_lines[static_cast<size_t>(i)]);
+    if (status == LineChannel::ReadStatus::kTooLong) {
+      if (too_long == 0) too_long = channel_->too_long_bytes();
+      continue;
+    }
     if (status == LineChannel::ReadStatus::kInterrupted) {
       *quit = true;
       return;
@@ -207,6 +222,10 @@ void ProtocolSession::HandleBatch(const std::string& args, bool* quit) {
       *quit = true;
       return;
     }
+  }
+  if (too_long > 0) {
+    ErrLineTooLong(too_long);
+    return;
   }
   std::vector<EvalRequest> requests;
   bool parse_failed = false;
@@ -243,9 +262,8 @@ ProtocolSession::ExitReason ProtocolSession::Run() {
     if (read == LineChannel::ReadStatus::kError) {
       return ExitReason::kChannelError;
     }
-    if (line.size() > kMaxLineBytes) {
-      Err("line-too-long (" + std::to_string(line.size()) +
-          " bytes; limit " + std::to_string(kMaxLineBytes) + ")");
+    if (read == LineChannel::ReadStatus::kTooLong) {
+      ErrLineTooLong(channel_->too_long_bytes());
       continue;
     }
     std::string_view rest = StripWhitespace(line);
@@ -264,13 +282,18 @@ ProtocolSession::ExitReason ProtocolSession::Run() {
         continue;
       }
       std::string text;
-      LineChannel::ReadStatus payload = ReadUntilEnd(&text);
+      size_t too_long = 0;
+      LineChannel::ReadStatus payload = ReadUntilEnd(&text, &too_long);
       if (payload == LineChannel::ReadStatus::kInterrupted) {
         return ExitReason::kInterrupted;
       }
       if (payload != LineChannel::ReadStatus::kLine) {
         Err("unterminated " + command + " (missing END)");
         break;
+      }
+      if (too_long > 0) {
+        ErrLineTooLong(too_long);
+        continue;
       }
       if (command == "LOAD") {
         HandleLoad(args, text);

@@ -33,10 +33,6 @@
 
 namespace iodb::server {
 
-/// Command lines (and BATCH request lines) over this limit are rejected
-/// with a structured error instead of being buffered without bound.
-inline constexpr size_t kMaxLineBytes = size_t{1} << 20;
-
 /// The process-wide serving state: a bare in-memory service, swapped
 /// for a durable registry's service when one is open.
 class ServingState {
@@ -97,10 +93,14 @@ class ProtocolSession {
   void HandleEval(const std::string& args);
   void HandleBatch(const std::string& args, bool* quit);
   void Err(const std::string& message);
+  void ErrLineTooLong(size_t bytes);
   void PrintResponse(const Result<EvalResponse>& response);
 
-  /// Reads payload lines up to the END terminator.
-  LineChannel::ReadStatus ReadUntilEnd(std::string* text);
+  /// Reads payload lines up to the END terminator. An over-long line is
+  /// skipped, and the length of the first one lands in `*too_long_bytes`
+  /// (left 0 if there is none): the payload is still consumed through END.
+  LineChannel::ReadStatus ReadUntilEnd(std::string* text,
+                                       size_t* too_long_bytes);
 
   ServingState* state_;
   LineChannel* channel_;

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <utility>
@@ -27,6 +28,35 @@ constexpr int kSendTimeoutSeconds = 30;
 void ConfigureSessionFd(int fd) {
   struct timeval timeout = {kSendTimeoutSeconds, 0};
   (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+}
+
+// How long a finished session waits for its peer's EOF.
+constexpr auto kLingerBound = std::chrono::seconds(1);
+
+// Lingering close. Closing a socket with unread input resets the
+// connection: the peer's recv fails with ECONNRESET, and over TCP the
+// reset can discard responses the peer has not read yet. So the write
+// side is half-closed first (the peer reads every response, then EOF)
+// and the input the peer still sends (say, commands after QUIT) is read
+// and dropped until its EOF, a wake byte, a read error or kLingerBound.
+void LingeringClose(int fd, int wake_fd) {
+  (void)::shutdown(fd, SHUT_WR);
+  const auto deadline = std::chrono::steady_clock::now() + kLingerBound;
+  char chunk[4096];
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return;
+    struct pollfd fds[2] = {{fd, POLLIN, 0}, {wake_fd, POLLIN, 0}};
+    const int ready = ::poll(fds, 2, static_cast<int>(left.count()));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0 || (fds[1].revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
+      return;
+    }
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return;
+  }
 }
 
 }  // namespace
@@ -107,6 +137,9 @@ void SocketServer::RunSession(Session* session) {
   ProtocolSession protocol(state_, &channel, ProtocolSession::Options{},
                            &session->cancel);
   (void)protocol.Run();
+  // The peer may close first now: that is no disconnect to fan out.
+  session->closing.store(true, std::memory_order_release);
+  LingeringClose(session->fd, wake_pipe_[0]);
   session->done.store(true, std::memory_order_release);
   // Wake the accept loop to join us; the byte is drained there.
   char byte = 'r';
@@ -144,7 +177,7 @@ void SocketServer::AcceptLoop() {
     {
       std::lock_guard<std::mutex> lock(sessions_mu_);
       for (const std::unique_ptr<Session>& session : sessions_) {
-        if (session->done.load(std::memory_order_acquire) ||
+        if (session->closing.load(std::memory_order_acquire) ||
             session->hangup_seen) {
           continue;
         }
@@ -170,7 +203,7 @@ void SocketServer::AcceptLoop() {
     for (size_t i = first_session; i < fds.size(); ++i) {
       if ((fds[i].revents & (POLLRDHUP | POLLHUP | POLLERR)) == 0) continue;
       Session* session = watched[i - first_session];
-      if (session->done.load(std::memory_order_acquire)) continue;
+      if (session->closing.load(std::memory_order_acquire)) continue;
       session->hangup_seen = true;
       session->cancel.Cancel();
       ++disconnect_cancels_;

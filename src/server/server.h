@@ -18,6 +18,10 @@
 //     disconnects mid-request cancels its in-flight work instead of
 //     burning a worker. (Half-closing the write side counts as
 //     disconnecting — keep the socket open until responses arrive.)
+//   * lingering close: a session that ends half-closes its socket and
+//     reads its peer's remaining input (up to EOF, a wake byte or one
+//     second) before the fd is closed, so bytes sent after QUIT never
+//     turn the close into a connection reset;
 //   * shutdown (Stop): a never-drained wake byte interrupts every
 //     session's next (or current) blocking read, all tokens are
 //     cancelled, and the server joins every session before returning —
@@ -83,6 +87,9 @@ class SocketServer {
     int fd = -1;
     CancelToken cancel;
     std::thread thread;
+    // The protocol loop ended; the fd is in its lingering close.
+    std::atomic<bool> closing{false};
+    // The thread is finished; the reaper joins it and closes the fd.
     std::atomic<bool> done{false};
     bool hangup_seen = false;
   };

@@ -31,12 +31,6 @@ constexpr double kMaxCost = 1e18;
 CostModel::CostModel(std::shared_ptr<const DatabaseStats> stats)
     : stats_(std::move(stats)) {
   IODB_CHECK(stats_ != nullptr);
-  for (const auto& [pred, count] : stats_->label_points) {
-    label_points_[pred] = count;
-  }
-  for (const LabelPairStats& pair : stats_->label_pairs) {
-    pair_points_[PairKey(pair.p, pair.q)] = pair.points;
-  }
 
   // Quantized fingerprint: magnitude classes of every count plus the
   // exact structure bits the engine-route rule reads, so the route can
@@ -67,6 +61,26 @@ CostModel::CostModel(std::shared_ptr<const DatabaseStats> stats)
   fingerprint_ = hash;
 }
 
+long long CostModel::LabelPoints(int pred) const {
+  const std::vector<std::pair<int, long long>>& labels = stats_->label_points;
+  auto it = std::lower_bound(
+      labels.begin(), labels.end(), pred,
+      [](const std::pair<int, long long>& entry, int p) {
+        return entry.first < p;
+      });
+  return it != labels.end() && it->first == pred ? it->second : 0;
+}
+
+const LabelPairStats* CostModel::FindPair(int p, int q) const {
+  const std::vector<LabelPairStats>& pairs = stats_->label_pairs;
+  auto it = std::lower_bound(
+      pairs.begin(), pairs.end(), std::pair(p, q),
+      [](const LabelPairStats& entry, const std::pair<int, int>& key) {
+        return std::pair(entry.p, entry.q) < key;
+      });
+  return it != pairs.end() && it->p == p && it->q == q ? &*it : nullptr;
+}
+
 double CostModel::LabelCandidates(const PredSet& labels) const {
   const DatabaseStats& s = *stats_;
   if (!s.order_stats_valid || s.points <= 0) return 1.0;
@@ -78,9 +92,7 @@ double CostModel::LabelCandidates(const PredSet& labels) const {
   double independent = points;
   double cap = points;
   for (int pred : required) {
-    auto it = label_points_.find(pred);
-    const double lp =
-        it != label_points_.end() ? static_cast<double>(it->second) : 0.0;
+    const double lp = static_cast<double>(LabelPoints(pred));
     cap = std::min(cap, lp);
     independent *= lp / points;
   }
@@ -89,9 +101,9 @@ double CostModel::LabelCandidates(const PredSet& labels) const {
   const bool complete = s.label_pairs.size() < DatabaseStats::kMaxLabelPairs;
   for (size_t i = 0; i < required.size(); ++i) {
     for (size_t j = i + 1; j < required.size(); ++j) {
-      auto it = pair_points_.find(PairKey(required[i], required[j]));
-      if (it != pair_points_.end()) {
-        cap = std::min(cap, static_cast<double>(it->second));
+      const LabelPairStats* pair = FindPair(required[i], required[j]);
+      if (pair != nullptr) {
+        cap = std::min(cap, static_cast<double>(pair->points));
       } else if (complete) {
         cap = 0.0;
       }

@@ -23,7 +23,6 @@
 #define IODB_STATS_COST_MODEL_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/planner.h"
@@ -33,8 +32,10 @@ namespace iodb::stats {
 
 class CostModel : public QueryPlanner {
  public:
-  /// `stats` must be non-null. Public so tests (and the conformance
-  /// fuzzer's perturbed-statistics mode) can feed arbitrary stats.
+  /// `stats` must be non-null, with `label_points` and `label_pairs`
+  /// ascending as DatabaseStats documents: the model binary-searches
+  /// them. Public so tests (and the conformance fuzzer's perturbed-
+  /// statistics mode) can feed arbitrary counts.
   explicit CostModel(std::shared_ptr<const DatabaseStats> stats);
 
   QueryPlanChoice PlanQuery(
@@ -56,12 +57,13 @@ class CostModel : public QueryPlanner {
 
  private:
   double LabelCandidates(const PredSet& labels) const;
+  /// Points carrying label `pred` (0 if none).
+  long long LabelPoints(int pred) const;
+  /// The sketched pair's entry, or null when (p, q) is not sketched.
+  const LabelPairStats* FindPair(int p, int q) const;
 
   std::shared_ptr<const DatabaseStats> stats_;
   uint64_t fingerprint_ = 0;
-  // Lookup tables derived from the stats vectors.
-  std::unordered_map<int, long long> label_points_;
-  std::unordered_map<uint64_t, long long> pair_points_;
 };
 
 }  // namespace iodb::stats

@@ -1,8 +1,8 @@
 #include "stats/stats.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_set>
+#include <bit>
+#include <cstdint>
 #include <utility>
 
 #include "graph/topo.h"
@@ -49,26 +49,47 @@ DatabaseStats CollectStats(const Database& db) {
   s.order_constants = db.num_order_constants();
 
   // Per-predicate cardinalities + distinct-argument counts (raw facts).
+  // Each (predicate, position) gets a slot; every argument becomes the
+  // packed key (slot << 32 | id), and after one sort the distinct values
+  // of a slot are the runs of its keys.
   const int npreds = db.vocab()->num_predicates();
   std::vector<long long> tuples(npreds, 0);
-  std::vector<std::vector<std::unordered_set<int>>> distinct(npreds);
+  std::vector<uint32_t> arity(npreds, 0);
+  size_t num_args = 0;
   for (const ProperAtom& atom : db.proper_atoms()) {
     ++tuples[atom.pred];
-    std::vector<std::unordered_set<int>>& sets = distinct[atom.pred];
-    if (sets.empty()) sets.resize(atom.args.size());
+    arity[atom.pred] = static_cast<uint32_t>(atom.args.size());
+    num_args += atom.args.size();
+  }
+  std::vector<uint32_t> first_slot(npreds, 0);
+  uint32_t num_slots = 0;
+  for (int p = 0; p < npreds; ++p) {
+    first_slot[p] = num_slots;
+    num_slots += arity[p];
+  }
+  std::vector<uint64_t> keys;
+  keys.reserve(num_args);
+  for (const ProperAtom& atom : db.proper_atoms()) {
+    const uint64_t slot = first_slot[atom.pred];
     for (size_t i = 0; i < atom.args.size(); ++i) {
-      sets[i].insert(atom.args[i].id);
+      keys.push_back((slot + i) << 32 |
+                     static_cast<uint32_t>(atom.args[i].id));
     }
   }
+  std::sort(keys.begin(), keys.end());
+  std::vector<long long> distinct(num_slots, 0);
+  for (size_t k = 0; k < keys.size(); ++k) {
+    if (k == 0 || keys[k] != keys[k - 1]) ++distinct[keys[k] >> 32];
+  }
+  s.predicates.reserve(static_cast<size_t>(
+      npreds - std::count(tuples.begin(), tuples.end(), 0)));
   for (int p = 0; p < npreds; ++p) {
     if (tuples[p] == 0) continue;
     PredicateStats ps;
     ps.pred = p;
     ps.tuples = tuples[p];
-    ps.distinct_args.reserve(distinct[p].size());
-    for (const std::unordered_set<int>& set : distinct[p]) {
-      ps.distinct_args.push_back(static_cast<long long>(set.size()));
-    }
+    ps.distinct_args.assign(distinct.begin() + first_slot[p],
+                            distinct.begin() + first_slot[p] + arity[p]);
     s.predicates.push_back(std::move(ps));
   }
 
@@ -118,40 +139,58 @@ DatabaseStats CollectStats(const Database& db) {
     }
   }
 
-  // Label cardinalities and the pairwise co-occurrence sketch.
+  // Label cardinalities and the pairwise co-occurrence sketch. Each
+  // co-occurring pair is the packed key (p << 32 | q); after one sort a
+  // pair's count is the length of its run, and the runs come out in
+  // ascending (p, q).
   std::vector<long long> label_count(npreds, 0);
-  std::map<std::pair<int, int>, long long> pair_count;
+  std::vector<uint64_t> pair_keys;
+  std::vector<int> labels;
   for (int p = 0; p < s.points; ++p) {
-    const std::vector<int> labels = ndb.labels[p].Elements();
+    labels.clear();
+    const std::vector<uint64_t>& words = ndb.labels[p].words();
+    for (size_t w = 0; w < words.size(); ++w) {
+      for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        labels.push_back(static_cast<int>(w) * 64 + std::countr_zero(bits));
+      }
+    }
     for (size_t i = 0; i < labels.size(); ++i) {
       ++label_count[labels[i]];
       for (size_t j = i + 1; j < labels.size(); ++j) {
-        ++pair_count[{labels[i], labels[j]}];
+        pair_keys.push_back(static_cast<uint64_t>(labels[i]) << 32 |
+                            static_cast<uint32_t>(labels[j]));
       }
     }
   }
   for (int p = 0; p < npreds; ++p) {
     if (label_count[p] > 0) s.label_points.emplace_back(p, label_count[p]);
   }
+  std::sort(pair_keys.begin(), pair_keys.end());
   std::vector<LabelPairStats> pairs;
-  pairs.reserve(pair_count.size());
-  for (const auto& [pq, count] : pair_count) {
-    pairs.push_back({pq.first, pq.second, count});
+  for (size_t k = 0; k < pair_keys.size(); ++k) {
+    if (k > 0 && pair_keys[k] == pair_keys[k - 1]) {
+      ++pairs.back().points;
+    } else {
+      pairs.push_back({static_cast<int>(pair_keys[k] >> 32),
+                       static_cast<int>(pair_keys[k] & 0xFFFFFFFFu), 1});
+    }
   }
   if (pairs.size() > DatabaseStats::kMaxLabelPairs) {
     // Keep the heaviest pairs; ties break on (p, q) so the sketch is a
-    // deterministic function of the content.
+    // deterministic function of the content (a strict total order, so
+    // the selected set is exactly the head of the fully sorted list).
+    const auto kept = pairs.begin() + DatabaseStats::kMaxLabelPairs;
+    std::nth_element(pairs.begin(), kept, pairs.end(),
+                     [](const LabelPairStats& a, const LabelPairStats& b) {
+                       if (a.points != b.points) return a.points > b.points;
+                       return std::pair(a.p, a.q) < std::pair(b.p, b.q);
+                     });
+    pairs.erase(kept, pairs.end());
     std::sort(pairs.begin(), pairs.end(),
               [](const LabelPairStats& a, const LabelPairStats& b) {
-                if (a.points != b.points) return a.points > b.points;
                 return std::pair(a.p, a.q) < std::pair(b.p, b.q);
               });
-    pairs.resize(DatabaseStats::kMaxLabelPairs);
   }
-  std::sort(pairs.begin(), pairs.end(),
-            [](const LabelPairStats& a, const LabelPairStats& b) {
-              return std::pair(a.p, a.q) < std::pair(b.p, b.q);
-            });
   s.label_pairs = std::move(pairs);
   return s;
 }

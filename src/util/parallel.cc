@@ -7,8 +7,13 @@
 namespace iodb {
 
 int DefaultWorkerCount() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  // hardware_concurrency() reads sysfs on every call; the count is fixed
+  // for the life of the process.
+  static const int count = [] {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
+  }();
+  return count;
 }
 
 void ParallelFor(int n, int num_workers, const std::function<void(int)>& fn) {

@@ -14,7 +14,7 @@
 namespace iodb {
 
 /// A sensible worker count for this machine (hardware concurrency,
-/// at least 1).
+/// at least 1), read once per process.
 int DefaultWorkerCount();
 
 /// Runs fn(0..n-1), sharded over up to `num_workers` threads (the calling

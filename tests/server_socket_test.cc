@@ -1,8 +1,9 @@
 // Socket server tests (server/server.h): multi-client sessions over one
 // shared service with snapshot-isolated reads, the disconnect-cancel
 // fan-out, graceful shutdown drain, the TCP front end, the session cap,
-// durable writers racing with no protocol lock, and OPEN's flush of the
-// registry it replaces. The multi-client test is the serving layer's
+// durable writers racing with no protocol lock, the lingering close of a
+// session that ends with unread input, and OPEN's flush of the registry
+// it replaces. The multi-client test is the serving layer's
 // consistency proof and runs under the TSan CI job: M concurrent
 // sessions interleave EVAL/APPEND/BATCH, every response's (uid,
 // revision) identity must be a consistent snapshot, and the final state
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -620,6 +622,53 @@ TEST(ServerSocketTest, ConcurrentDurableWritersRestoreTheLastAcks) {
   EXPECT_EQ(std::to_string(db->revision()), last_revision);
   reopened.value().reset();
   fs::remove_all(data_dir);
+}
+
+// Lingering close: a session that ends on QUIT with more input already
+// sent must not reset the connection. The peer reads the responses, then
+// a clean EOF (recv == 0), never ECONNRESET. The input after QUIT is
+// larger than one read chunk, so part of it is still unread in the
+// socket when the session ends.
+TEST(ServerSocketTest, QuitWithUnreadInputEndsInEofNotReset) {
+  ServerFixture fixture("iodb_linger.sock");
+  ASSERT_NE(fixture.server, nullptr);
+  ASSERT_TRUE(
+      fixture.state->service().Load("base", "P(u)\nQ(v)\nu < v\n").ok());
+
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  struct sockaddr_un addr = {};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, fixture.server->unix_path().c_str(),
+               sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const std::string eval = "EVAL base exists t: P(t)\n";
+  std::string bytes = eval + "QUIT\n";
+  while (bytes.size() < 3 * LineChannel::kReadChunk / 2) bytes += eval;
+  // One send, small enough for the socket buffer, so it completes while
+  // the session still runs: the unread tail is what the close must drain.
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+  std::string received;
+  ssize_t last = 0;
+  int last_errno = 0;
+  char chunk[4096];
+  for (;;) {
+    last = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (last < 0 && errno == EINTR) continue;
+    if (last <= 0) {
+      last_errno = last < 0 ? errno : 0;
+      break;
+    }
+    received.append(chunk, static_cast<size_t>(last));
+  }
+  ::close(fd);
+  EXPECT_EQ(received, "ENTAILED  [engine: order-free, cache: miss]\n");
+  EXPECT_EQ(last, 0) << "recv failed: " << std::strerror(last_errno);
+  fixture.server->Stop();
+  EXPECT_EQ(fixture.server->stats().disconnect_cancels, 0);
 }
 
 // OPEN flushes the registry it replaces (a registry does not flush on

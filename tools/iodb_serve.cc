@@ -58,13 +58,15 @@
 //
 // Every failure is reported as a single "ERR <message>" line and the
 // session continues; an unrecognized verb is the structured
-// "ERR unknown-verb '<verb>'", a command line over the 1 MiB limit is
-// "ERR line-too-long ...", and a request that exhausted its deadline /
-// step budget / cancellation is "ERR deadline-exceeded <detail>" or
-// "ERR cancelled <detail>". Flags: --workers=N (worker pool size,
-// default: machine), --costing=on|off (statistics-backed cost-based
-// planning default for requests that do not pass their own --costing
-// flag; default on), --plan-cache=N (plan cache capacity, default 128),
+// "ERR unknown-verb '<verb>'", a line over the 1 MiB limit is
+// "ERR line-too-long ..." (inside a LOAD/APPEND payload or a BATCH it
+// fails that command once the command's lines are consumed), and a
+// request that exhausted its deadline / step budget / cancellation is
+// "ERR deadline-exceeded <detail>" or "ERR cancelled <detail>".
+// Flags: --workers=N (worker pool size, default: machine),
+// --costing=on|off (statistics-backed cost-based planning default for
+// requests that do not pass their own --costing flag; default on),
+// --plan-cache=N (plan cache capacity, default 128),
 // --data-dir=DIR (open a durable registry at startup),
 // --wal-sync=none|commit|interval (WAL flush policy, default commit),
 // --default-deadline-ms=N / --default-step-budget=N (governance applied

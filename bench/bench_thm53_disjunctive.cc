@@ -1,8 +1,10 @@
 // Theorem 5.3 ablation: the bound O(|D|^{2k} · |Pred| · Π|Φᵢ|) is
 // exponential in both the database width and the number of disjuncts
 // (Propositions 5.4/5.5 show neither dependence is removable). Sweeps:
-// disjunct count, width, and countermodel-enumeration throughput (the
-// paper's polynomial-delay remark).
+// disjunct count, width, database size at width 2 (16 to 256 points, so
+// both forms of the sort region: one word up to 64 points, counters
+// above), and countermodel-enumeration throughput (the paper's
+// polynomial-delay remark).
 
 #include <benchmark/benchmark.h>
 
@@ -64,6 +66,22 @@ void BM_Thm53_WidthSweep(benchmark::State& state) {
   state.counters["width"] = k;
 }
 BENCHMARK(BM_Thm53_WidthSweep)->DenseRange(1, 4)->Unit(benchmark::kMicrosecond);
+
+void BM_Thm53_DbSweepAtWidth2(benchmark::State& state) {
+  Instance inst = Make(2, static_cast<int>(state.range(0)), 2, 73);
+  long long states = 0;
+  for (auto _ : state) {
+    DisjunctiveOutcome outcome = EntailDisjunctive(inst.db, inst.query);
+    states = outcome.states_visited;
+    benchmark::DoNotOptimize(outcome.entailed);
+  }
+  state.counters["states"] = static_cast<double>(states);
+  state.counters["points"] = inst.db.num_points();
+}
+BENCHMARK(BM_Thm53_DbSweepAtWidth2)
+    ->RangeMultiplier(2)
+    ->Range(8, 128)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_Thm53_CountermodelEnumeration(benchmark::State& state) {
   // Throughput of countermodel (valid-schedule) enumeration: models per

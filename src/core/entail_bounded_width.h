@@ -15,7 +15,9 @@
 // while some maximal path of Φ still has an unmatched vertex.
 //
 // The search is memoized on (S, u); with width k there are O(|D|^k · |Φ|)
-// tuples, each processed in O(|D|), giving the paper's bound.
+// tuples, each processed in O(|D|), giving the paper's bound. The region
+// whose minimal points are S is the sort region of core/region.h, in the
+// form the database's EnumerationContext supports.
 
 #ifndef IODB_CORE_ENTAIL_BOUNDED_WIDTH_H_
 #define IODB_CORE_ENTAIL_BOUNDED_WIDTH_H_
@@ -52,16 +54,31 @@ struct BoundedWidthOutcome {
 /// internal transitive reduction when the caller passes a conjunct that
 /// is already reduced (PreparedQuery memoizes the reduction at Prepare()
 /// time so repeated evaluations don't pay it). Minor/minimal tests go
-/// through the database's shared reachability context: single-word masks
-/// for at most 64 points, incrementally maintained in-degree counters
-/// otherwise. `budget`, when non-null, is charged once per search state;
-/// on a trip the outcome reports `exhausted` (partially explored states
-/// are never memoized as failed, so a re-run starts sound).
+/// through the sort region (core/region.h) over the database's shared
+/// reachability context. `budget`, when non-null, is charged once per
+/// search state; on a trip the outcome reports `exhausted` (partially
+/// explored states are never memoized as failed, so a re-run starts
+/// sound).
 BoundedWidthOutcome EntailBoundedWidth(const NormDb& db,
                                        const NormConjunct& conjunct,
                                        bool want_countermodel = false,
                                        bool already_reduced = false,
                                        ExecBudget* budget = nullptr);
+
+struct EnumerationContext;
+
+namespace internal {
+/// Test seam: the search of EntailBoundedWidth on a chosen region form
+/// (WordRegion or CounterRegion from core/region.h), for a reduced
+/// conjunct with at least one order variable over a nonempty database.
+/// `ctx` must be the database's context.
+template <class Region>
+BoundedWidthOutcome EntailBoundedWidthOn(const NormDb& db,
+                                         const NormConjunct& conjunct,
+                                         const EnumerationContext& ctx,
+                                         bool want_countermodel,
+                                         ExecBudget* budget);
+}  // namespace internal
 
 }  // namespace iodb
 

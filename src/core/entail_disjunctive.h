@@ -21,6 +21,9 @@
 // countermodel. Failure states are memoized, so deciding entailment stays
 // within the paper's bound and enumeration has (amortized) polynomial
 // delay between outputs, mirroring the paper's remark after Theorem 5.3.
+// The unsorted points live in the sort region of core/region.h, in the
+// form the database's EnumerationContext supports; both forms maintain
+// the region incrementally under group removal and restore.
 
 #ifndef IODB_CORE_ENTAIL_DISJUNCTIVE_H_
 #define IODB_CORE_ENTAIL_DISJUNCTIVE_H_
@@ -64,9 +67,9 @@ struct DisjunctiveOutcome {
   long long states_visited = 0;
   long long countermodels_reported = 0;
   std::optional<FiniteModel> countermodel;
-  /// Reachability-probe counters of the search. Order tests go through
-  /// the database's shared reachability context: single-word mask probes
-  /// for databases of at most 64 points, interval probes otherwise.
+  /// Reachability-probe counters of the search, as the sort region
+  /// (core/region.h) counts them: word probes for databases of at most 64
+  /// points, counter reads and interval probes otherwise.
   ModelCheckStats check_stats;
 };
 
@@ -77,6 +80,20 @@ struct DisjunctiveOutcome {
 /// monadic [<,<=]-queries over [<,<=,!=]-databases of width k.
 DisjunctiveOutcome EntailDisjunctive(const NormDb& db, const NormQuery& query,
                                      const DisjunctiveOptions& options = {});
+
+struct EnumerationContext;
+
+namespace internal {
+/// Test seam: EntailDisjunctive on a chosen region form (WordRegion or
+/// CounterRegion from core/region.h), for a query whose disjuncts are
+/// already reduced and not trivially true. `ctx` must be the database's
+/// context.
+template <class Region>
+DisjunctiveOutcome EntailDisjunctiveOn(const NormDb& db,
+                                       const NormQuery& query,
+                                       const EnumerationContext& ctx,
+                                       const DisjunctiveOptions& options);
+}  // namespace internal
 
 }  // namespace iodb
 

@@ -1,10 +1,10 @@
 #include "core/minimal_models.h"
 
 #include <algorithm>
-#include <bit>
 #include <span>
 #include <utility>
 
+#include "core/region.h"
 #include "graph/topo.h"
 
 namespace iodb {
@@ -35,313 +35,76 @@ struct GroupStack {
   }
 };
 
-// Incremental enumerator, general form (any point count; the mask
-// enumerator below serves the <= 64-point contexts). The removed set is
-// always a down-set of the dag (groups are down-closures of minor
-// antichains), so for alive u, v a strict path u -> v in the full dag
-// never passes through a removed vertex; hence "v is minor within the
-// alive subgraph" is exactly "strict_in_[v] == 0" where strict_in_[v]
-// counts the alive u with a strict path u -> v. Push/pop of a group
-// maintains the counts via the precomputed strict-reachability adjacency
-// instead of re-deriving minor vertices from scratch per node.
+// The enumerator, written once over the region form (core/region.h).
+// Each level finds the minors of the region and walks the next groups;
+// a group passing the "!=" test and the visitor is removed, the levels
+// below are enumerated, and the group is restored.
+template <class Region>
 struct Enumerator {
-  const NormDb& db;
   const ModelVisitor& visitor;
   const EnumerationContext& ctx;
-  std::vector<uint8_t> alive;
-  std::vector<int> strict_in;
-  std::vector<uint8_t> in_group;  // scratch for inequality checks
-  int alive_count;
-  ReachProbeStats rstats;
+  Region region;
   GroupStack stack;
-
-  // Per-depth scratch (candidates + chosen antichain). Sized up front so
-  // references stay valid across recursion.
-  struct Level {
-    std::vector<int> candidates;
-    std::vector<int> chosen;
-  };
-  std::vector<Level> levels;
+  // Per-depth walk scratch, sized up front so references stay valid
+  // across recursion.
+  std::vector<typename Region::Level> levels;
 
   Enumerator(const NormDb& d, const EnumerationContext& c,
              const ModelVisitor& v)
-      : db(d),
-        visitor(v),
-        ctx(c),
-        alive(d.num_points(), 1),
-        strict_in(c.strict_in_all_alive),
-        in_group(d.num_points(), 0),
-        alive_count(d.num_points()),
-        levels(d.num_points() + 1) {
+      : visitor(v), ctx(c), region(d, c), levels(d.num_points() + 1) {
     stack.groups.reserve(d.num_points());
     stack.spare.reserve(d.num_points());
-  }
-
-  bool GroupRespectsInequalities(const std::vector<int>& group) {
-    if (db.inequalities.empty()) return true;
-    for (int g : group) in_group[g] = 1;
-    bool ok = true;
-    for (const auto& [u, v] : db.inequalities) {
-      if (in_group[u] && in_group[v]) {
-        ok = false;
-        break;
-      }
-    }
-    for (int g : group) in_group[g] = 0;
-    return ok;
-  }
-
-  void Apply(const std::vector<int>& group) {
-    for (int g : group) {
-      alive[g] = 0;
-      --alive_count;
-      for (int k = ctx.strict_out_off[g]; k < ctx.strict_out_off[g + 1];
-           ++k) {
-        --strict_in[ctx.strict_out[k]];
-      }
-    }
-  }
-
-  void Unapply(const std::vector<int>& group) {
-    for (int g : group) {
-      alive[g] = 1;
-      ++alive_count;
-      for (int k = ctx.strict_out_off[g]; k < ctx.strict_out_off[g + 1];
-           ++k) {
-        ++strict_in[ctx.strict_out[k]];
-      }
-    }
   }
 
   // Returns false iff the enumeration was stopped by on_model.
   bool Recurse() {
-    if (alive_count == 0) {
+    if (region.empty()) {
       return visitor.on_model == nullptr || visitor.on_model(stack.groups);
     }
     const int depth = static_cast<int>(stack.groups.size());
-    Level& level = levels[depth];
-    level.candidates.clear();
-    for (int v = 0; v < db.num_points(); ++v) {
-      if (!alive[v]) continue;
-      // The minor test is one O(1) counter read served by the
-      // reachability layer's precomputed strict adjacency.
-      ++rstats.probes;
-      ++rstats.fast_hits;
-      if (strict_in[v] == 0) level.candidates.push_back(v);
-    }
-    // A consistent database always has a minor vertex while nonempty.
-    IODB_CHECK(!level.candidates.empty());
-    level.chosen.clear();
-    return EnumerateAntichains(depth, 0);
+    typename Region::Level& level = levels[depth];
+    region.FindMinors(level);
+    return region.ForEachGroup(
+        level, [&](const auto& group) { return Place(depth, group); });
   }
 
-  bool EnumerateAntichains(int depth, size_t next) {
-    Level& level = levels[depth];
-    for (size_t i = next; i < level.candidates.size(); ++i) {
-      const int v = level.candidates[i];
-      bool independent = true;
-      for (int u : level.chosen) {
-        if (ctx.Comparable(u, v, &rstats)) {
-          independent = false;
-          break;
-        }
-      }
-      if (!independent) continue;
-      level.chosen.push_back(v);
-      // The down-closure of the chosen antichain within the minor set.
-      std::vector<int>& group = stack.Acquire();
-      for (int m : level.candidates) {
-        for (int a : level.chosen) {
-          if (ctx.Reaches(m, a, &rstats)) {
-            group.push_back(m);
-            break;
-          }
-        }
-      }
-      if (GroupRespectsInequalities(group) &&
-          (visitor.on_group == nullptr ||
-           visitor.on_group(depth, group))) {
-        Apply(group);
-        const bool keep_going = Recurse();
-        Unapply(stack.groups.back());
-        stack.Release();
-        if (!keep_going) return false;
-      } else {
-        stack.Release();
-      }
-      if (!EnumerateAntichains(depth, i + 1)) return false;
-      level.chosen.pop_back();
+  // Places `group` as point `depth` and enumerates below it; false iff
+  // on_model stopped. Kept out of line: inlined into the group walk's
+  // recursion, the word form ran about 40% slower (bench_fig1_models).
+  [[gnu::noinline]] bool Place(int depth,
+                               const typename Region::Group& group) {
+    if (!region.Respects(group)) return true;
+    std::vector<int>& members = stack.Acquire();
+    region.AppendMembers(group, &members);
+    if (visitor.on_group != nullptr && !visitor.on_group(depth, members)) {
+      stack.Release();
+      return true;
     }
-    return true;
+    const typename Region::Mark mark = region.mark();
+    region.RemoveGroup(group);
+    const bool keep_going = Recurse();
+    region.RestoreTo(mark);
+    stack.Release();
+    return keep_going;
   }
 
   // Seeds the enumeration with an already-chosen prefix. Each group must
-  // consist of currently-minor vertices (checked), i.e. be a group the
+  // consist of currently-minor points (checked), i.e. be a group the
   // unseeded enumeration could have produced at that depth.
-  void SeedPrefix(const std::vector<std::vector<int>>& prefix) {
-    for (const std::vector<int>& group : prefix) {
-      IODB_CHECK(!group.empty());
-      for (int g : group) {
-        IODB_CHECK(alive[g]);
-        IODB_CHECK_EQ(strict_in[g], 0);
-      }
-      std::vector<int>& stored = stack.Acquire();
-      stored.assign(group.begin(), group.end());
-      Apply(stored);
-    }
-  }
-
   bool Run(const std::vector<std::vector<int>>& prefix) {
-    SeedPrefix(prefix);
+    for (const std::vector<int>& group : prefix) {
+      region.SeedGroup(group);
+      stack.Acquire().assign(group.begin(), group.end());
+    }
     const bool completed = Recurse();
     if (visitor.stats != nullptr) {
-      visitor.stats->AddReachProbes(rstats);
+      visitor.stats->AddReachProbes(region.probes());
       visitor.stats->index_rebuilds =
           std::max(visitor.stats->index_rebuilds, ctx.index_rebuilds());
     }
     return completed;
   }
 };
-
-// Word-mask enumerator for databases of at most 64 points: the alive
-// set, the minor test, antichain independence, and group down-closures
-// all become single-word operations on the context's index-derived
-// masks. Visits exactly the same group sequences as the general
-// enumerator (candidates and group members are produced in increasing
-// vertex order either way).
-struct MaskEnumerator {
-  const NormDb& db;
-  const ModelVisitor& visitor;
-  const EnumerationContext& ctx;
-  uint64_t alive_mask;
-  ReachProbeStats rstats;
-  GroupStack stack;
-
-  struct Level {
-    std::vector<int> candidates;
-    uint64_t minors = 0;
-  };
-  std::vector<Level> levels;
-
-  MaskEnumerator(const NormDb& d, const EnumerationContext& c,
-                 const ModelVisitor& v)
-      : db(d),
-        visitor(v),
-        ctx(c),
-        alive_mask(d.num_points() == 64
-                       ? ~uint64_t{0}
-                       : (uint64_t{1} << d.num_points()) - 1),
-        levels(d.num_points() + 1) {
-    stack.groups.reserve(d.num_points());
-    stack.spare.reserve(d.num_points());
-  }
-
-  bool GroupRespectsInequalities(uint64_t group_mask) const {
-    for (const auto& [u, v] : db.inequalities) {
-      if (((group_mask >> u) & 1) && ((group_mask >> v) & 1)) return false;
-    }
-    return true;
-  }
-
-  bool Recurse() {
-    if (alive_mask == 0) {
-      return visitor.on_model == nullptr || visitor.on_model(stack.groups);
-    }
-    const int depth = static_cast<int>(stack.groups.size());
-    Level& level = levels[depth];
-    level.candidates.clear();
-    uint64_t minors = 0;
-    for (uint64_t rest = alive_mask; rest != 0; rest &= rest - 1) {
-      const int v = std::countr_zero(rest);
-      ++rstats.probes;
-      ++rstats.fast_hits;
-      if ((ctx.strict_anc_mask[v] & alive_mask) == 0) {
-        minors |= rest & (~rest + 1);
-        level.candidates.push_back(v);
-      }
-    }
-    // A consistent database always has a minor vertex while nonempty.
-    IODB_CHECK(minors != 0);
-    level.minors = minors;
-    return EnumerateAntichains(depth, 0, /*incompat=*/0, /*chosen_anc=*/0);
-  }
-
-  // `incompat` accumulates everything comparable to the chosen antichain
-  // (so independence is one bit test); `chosen_anc` accumulates the
-  // ancestor masks of the chosen vertices (so the group down-closure is
-  // one AND against the minor set).
-  bool EnumerateAntichains(int depth, size_t next, uint64_t incompat,
-                           uint64_t chosen_anc) {
-    Level& level = levels[depth];
-    for (size_t i = next; i < level.candidates.size(); ++i) {
-      const int v = level.candidates[i];
-      ++rstats.probes;
-      ++rstats.fast_hits;
-      if ((incompat >> v) & 1) continue;
-      const uint64_t anc_with_v = chosen_anc | ctx.anc_mask[v];
-      const uint64_t group_mask = level.minors & anc_with_v;
-      if (GroupRespectsInequalities(group_mask)) {
-        std::vector<int>& group = stack.Acquire();
-        for (uint64_t g = group_mask; g != 0; g &= g - 1) {
-          group.push_back(std::countr_zero(g));
-        }
-        if (visitor.on_group == nullptr ||
-            visitor.on_group(depth, group)) {
-          alive_mask &= ~group_mask;
-          const bool keep_going = Recurse();
-          alive_mask |= group_mask;
-          stack.Release();
-          if (!keep_going) return false;
-        } else {
-          stack.Release();
-        }
-      }
-      if (!EnumerateAntichains(
-              depth, i + 1,
-              incompat | ctx.desc_mask[v] | ctx.anc_mask[v], anc_with_v)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  void SeedPrefix(const std::vector<std::vector<int>>& prefix) {
-    for (const std::vector<int>& group : prefix) {
-      IODB_CHECK(!group.empty());
-      uint64_t group_mask = 0;
-      for (int g : group) {
-        IODB_CHECK((alive_mask >> g) & 1);
-        IODB_CHECK_EQ(ctx.strict_anc_mask[g] & alive_mask, 0u);
-        group_mask |= uint64_t{1} << g;
-      }
-      std::vector<int>& stored = stack.Acquire();
-      stored.assign(group.begin(), group.end());
-      alive_mask &= ~group_mask;
-    }
-  }
-
-  bool Run(const std::vector<std::vector<int>>& prefix) {
-    SeedPrefix(prefix);
-    const bool completed = Recurse();
-    if (visitor.stats != nullptr) {
-      visitor.stats->AddReachProbes(rstats);
-      visitor.stats->index_rebuilds =
-          std::max(visitor.stats->index_rebuilds, ctx.index_rebuilds());
-    }
-    return completed;
-  }
-};
-
-bool RunEnumeration(const NormDb& db, const EnumerationContext& context,
-                    const std::vector<std::vector<int>>& prefix,
-                    const ModelVisitor& visitor) {
-  if (context.has_masks) {
-    MaskEnumerator e(db, context, visitor);
-    return e.Run(prefix);
-  }
-  Enumerator e(db, context, visitor);
-  return e.Run(prefix);
-}
 
 }  // namespace
 
@@ -376,34 +139,14 @@ EnumerationContext::EnumerationContext(
 }
 
 void EnumerationContext::DeriveFromIndex() {
-  const int n = num_points;
-  has_masks = n <= 64;
-  if (has_masks) {
-    desc_mask.assign(n, 0);
-    anc_mask.assign(n, 0);
-    strict_anc_mask.assign(n, 0);
-  }
   std::vector<uint8_t> scratch;
-  std::vector<int> weak;
   std::vector<int> strict;
-  for (int u = 0; u < n; ++u) {
-    weak.clear();
+  for (int u = 0; u < num_points; ++u) {
     strict.clear();
-    index->CollectReachable(u, &weak, &strict, &scratch);
+    index->CollectReachable(u, /*weak=*/nullptr, &strict, &scratch);
     strict_out_off[u + 1] = strict_out_off[u] + static_cast<int>(strict.size());
     strict_out.insert(strict_out.end(), strict.begin(), strict.end());
     for (int v : strict) ++strict_in_all_alive[v];
-    if (has_masks) {
-      const uint64_t u_bit = uint64_t{1} << u;
-      uint64_t down = u_bit;
-      for (int v : weak) {
-        down |= uint64_t{1} << v;
-        anc_mask[v] |= u_bit;
-      }
-      desc_mask[u] = down;
-      anc_mask[u] |= u_bit;
-      for (int v : strict) strict_anc_mask[v] |= u_bit;
-    }
   }
 }
 
@@ -515,21 +258,44 @@ std::shared_ptr<const EnumerationContext> SharedEnumerationContext(
   return context;
 }
 
+namespace internal {
+
+template <class Region>
+bool ForEachMinimalModelOn(const NormDb& db, const EnumerationContext& context,
+                           const std::vector<std::vector<int>>& prefix,
+                           const ModelVisitor& visitor) {
+  Enumerator<Region> e(db, context, visitor);
+  return e.Run(prefix);
+}
+template bool ForEachMinimalModelOn<WordRegion>(
+    const NormDb&, const EnumerationContext&,
+    const std::vector<std::vector<int>>&, const ModelVisitor&);
+template bool ForEachMinimalModelOn<CounterRegion>(
+    const NormDb&, const EnumerationContext&,
+    const std::vector<std::vector<int>>&, const ModelVisitor&);
+
+}  // namespace internal
+
 bool ForEachMinimalModel(const NormDb& db, const ModelVisitor& visitor) {
-  return RunEnumeration(db, *SharedEnumerationContext(db), {}, visitor);
+  return ForEachMinimalModelFrom(db, *SharedEnumerationContext(db), {},
+                                 visitor);
 }
 
 bool ForEachMinimalModelFrom(const NormDb& db,
                              const EnumerationContext& context,
                              const std::vector<std::vector<int>>& prefix,
                              const ModelVisitor& visitor) {
-  return RunEnumeration(db, context, prefix, visitor);
+  return WithRegion(context, [&]<class Region>(std::type_identity<Region>) {
+    return internal::ForEachMinimalModelOn<Region>(db, context, prefix,
+                                                   visitor);
+  });
 }
 
 bool ForEachMinimalModelFrom(const NormDb& db,
                              const std::vector<std::vector<int>>& prefix,
                              const ModelVisitor& visitor) {
-  return RunEnumeration(db, *SharedEnumerationContext(db), prefix, visitor);
+  return ForEachMinimalModelFrom(db, *SharedEnumerationContext(db), prefix,
+                                 visitor);
 }
 
 long long CountMinimalModels(const NormDb& db, long long limit) {

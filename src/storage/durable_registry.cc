@@ -209,7 +209,7 @@ Result<DbInfo> DurableRegistry::PersistDatabase(const std::string& name) {
 
 Result<DbInfo> DurableRegistry::Load(const std::string& name,
                                      const std::string& text) {
-  std::lock_guard<std::mutex> lock(write_mu_);
+  std::lock_guard<FifoMutex> lock(write_mu_);
   Result<DbInfo> info = service_.Load(name, text);
   if (!info.ok()) return info;
   return PersistDatabase(name);
@@ -217,7 +217,7 @@ Result<DbInfo> DurableRegistry::Load(const std::string& name,
 
 Result<DbInfo> DurableRegistry::AppendText(const std::string& name,
                                            const std::string& text) {
-  std::lock_guard<std::mutex> lock(write_mu_);
+  std::lock_guard<FifoMutex> lock(write_mu_);
   Result<std::vector<WalRecord>> records =
       ParseMutationText(text, service_.vocab());
   if (!records.ok()) return records.status();
@@ -258,7 +258,7 @@ Result<DbInfo> DurableRegistry::AppendText(const std::string& name,
 }
 
 Status DurableRegistry::Flush() {
-  std::lock_guard<std::mutex> lock(write_mu_);
+  std::lock_guard<FifoMutex> lock(write_mu_);
   return FlushLocked();
 }
 
@@ -274,12 +274,12 @@ Status DurableRegistry::FlushLocked() {
 }
 
 Result<DbInfo> DurableRegistry::Compact(const std::string& name) {
-  std::lock_guard<std::mutex> lock(write_mu_);
+  std::lock_guard<FifoMutex> lock(write_mu_);
   return PersistDatabase(name);
 }
 
 Status DurableRegistry::CompactAll() {
-  std::lock_guard<std::mutex> lock(write_mu_);
+  std::lock_guard<FifoMutex> lock(write_mu_);
   for (const std::string& name : service_.database_names()) {
     Result<DbInfo> info = PersistDatabase(name);
     if (!info.ok()) return info.status();

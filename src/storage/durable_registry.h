@@ -31,7 +31,8 @@
 // sequence — parse or persist, then the service's publish, then the
 // persistence bookkeeping — so no append can land between a snapshot
 // write and the fresh WAL that follows it, and callers supply no lock
-// of their own. Lock order: the registry mutex, then
+// of their own. The mutex admits writers in arrival order, so a thread
+// that appends in a loop cannot starve a Compact or Flush. Lock order: the registry mutex, then
 // EvaluationService's writer mutex, then its map lock. No hook the
 // registry passes into the service calls back into the registry.
 
@@ -51,6 +52,7 @@
 
 #include "service/service.h"
 #include "storage/wal.h"
+#include "util/fifo_mutex.h"
 #include "util/status.h"
 
 namespace iodb::storage {
@@ -136,8 +138,9 @@ class DurableRegistry {
   std::string dir_;
   EvaluationService service_;
   WalSyncOptions sync_;
-  // Serializes the writers end to end and guards every member below.
-  std::mutex write_mu_;
+  // Serializes the writers end to end, first come first served, and
+  // guards every member below.
+  FifoMutex write_mu_;
   // Per database: the (uid, revision) base identity of the snapshot on
   // disk — the identity the WAL header is bound to.
   std::map<std::string, std::pair<uint64_t, uint64_t>> base_;

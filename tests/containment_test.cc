@@ -1,13 +1,21 @@
 // Proposition 2.10: containment of relational conjunctive queries with
 // inequalities via indefinite-order entailment, cross-validated against
-// the Chandra–Merlin homomorphism test on the order-free fragment.
+// the Chandra–Merlin homomorphism test on the order-free fragment and,
+// with order atoms and inequalities, against the reference decider
+// (tests/oracle/oracle.h) on the frozen body of Q1.
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "containment/containment.h"
 #include "containment/relational.h"
 #include "core/parser.h"
+#include "oracle/oracle.h"
 #include "util/random.h"
+#include "util/strings.h"
 
 namespace iodb {
 namespace {
@@ -153,6 +161,135 @@ TEST(ContainmentTest, HomomorphismAgreesOnRandomOrderFreeQueries) {
     ASSERT_TRUE(red.ok());
     EXPECT_EQ(hom.value(), red.value().contained) << "trial " << trial;
   }
+}
+
+// A random body over order variables prefix0..prefix{n-1}: unary A/B and
+// binary E atoms, order atoms and (when `neq`) inequalities, kept both as
+// a QueryConjunct and as text atoms whose variable names are substituted
+// through `name` (so the same atoms can be frozen or re-headed).
+struct RandomBody {
+  std::vector<std::string> vars;
+  // Each atom: predicate or relation, then its arguments.
+  std::vector<std::vector<std::string>> atoms;
+
+  RandomBody(Rng& rng, const std::string& prefix, bool forward_only,
+             bool neq) {
+    const int n = rng.UniformInt(1, 4);
+    for (int i = 0; i < n; ++i) vars.push_back(prefix + std::to_string(i));
+    for (int i = 0; i < n; ++i) {
+      // Every variable occurs in some atom.
+      atoms.push_back({rng.Bernoulli(0.5) ? "A" : "B", vars[i]});
+      if (rng.Bernoulli(0.3)) atoms.push_back({"A", vars[i]});
+    }
+    const int num_relational = rng.UniformInt(0, 4);
+    for (int k = 0; k < num_relational && n > 1; ++k) {
+      int i = rng.UniformInt(0, n - 1);
+      int j = rng.UniformInt(0, n - 1);
+      if (i == j) continue;
+      if (forward_only && i > j) std::swap(i, j);
+      switch (rng.UniformInt(0, neq ? 3 : 2)) {
+        case 0: atoms.push_back({"<", vars[i], vars[j]}); break;
+        case 1: atoms.push_back({"<=", vars[i], vars[j]}); break;
+        case 2: atoms.push_back({"E", vars[i], vars[j]}); break;
+        default: atoms.push_back({"!=", vars[i], vars[j]}); break;
+      }
+    }
+  }
+
+  QueryConjunct Conjunct() const {
+    QueryConjunct body;
+    for (const std::string& v : vars) body.Exists(v);
+    for (const std::vector<std::string>& a : atoms) {
+      if (a[0] == "<" || a[0] == "<=") {
+        body.Order(a[1], a[0] == "<" ? OrderRel::kLt : OrderRel::kLe, a[2]);
+      } else if (a[0] == "!=") {
+        body.NotEqual(a[1], a[2]);
+      } else {
+        body.Atom(a[0], std::vector<std::string>(a.begin() + 1, a.end()));
+      }
+    }
+    return body;
+  }
+
+  std::vector<std::string> Text(
+      const std::function<std::string(const std::string&)>& name) const {
+    std::vector<std::string> out;
+    for (const std::vector<std::string>& a : atoms) {
+      if (a[0] == "<" || a[0] == "<=" || a[0] == "!=") {
+        out.push_back(name(a[1]) + " " + a[0] + " " + name(a[2]));
+      } else {
+        std::string atom = a[0] + "(" + name(a[1]);
+        for (size_t k = 2; k < a.size(); ++k) atom += ", " + name(a[k]);
+        out.push_back(atom + ")");
+      }
+    }
+    return out;
+  }
+};
+
+VocabularyPtr KlugVocabulary() {
+  auto vocab = std::make_shared<Vocabulary>();
+  vocab->MustAddPredicate("A", {Sort::kOrder});
+  vocab->MustAddPredicate("B", {Sort::kOrder});
+  vocab->MustAddPredicate("E", {Sort::kOrder, Sort::kOrder});
+  return vocab;
+}
+
+TEST(ContainmentTest, OrderedPairsMatchTheOracleOnTheFrozenBody) {
+  // Proposition 2.10 checked end to end: Q1's body with its variables
+  // frozen into constants is a database; Q1 ⊆ Q2 iff that database
+  // entails Q2 with the head pinned to Q1's frozen head. The oracle
+  // decides the entailment from the definition, on its own freezing.
+  Rng rng(2010);
+  int contained = 0;
+  int not_contained = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    RandomBody b1(rng, "x", /*forward_only=*/true, /*neq=*/true);
+    RandomBody b2(rng, "y", /*forward_only=*/false, /*neq=*/false);
+    const bool headed = rng.Bernoulli(0.5);
+    RelationalQuery q1 =
+        MakeQuery(b1.Conjunct(), headed ? std::vector<std::string>{"x0"}
+                                        : std::vector<std::string>{});
+    RelationalQuery q2 =
+        MakeQuery(b2.Conjunct(), headed ? std::vector<std::string>{"y0"}
+                                        : std::vector<std::string>{});
+
+    auto same = [](const std::string& v) { return v; };
+    std::string db_text;
+    for (const std::string& atom : b1.Text(same)) db_text += atom + "\n";
+    std::string query_text = "exists";
+    for (const std::string& v : b2.vars) {
+      if (!(headed && v == "y0")) query_text += " " + v;
+    }
+    auto pinned = [&](const std::string& v) {
+      return headed && v == "y0" ? std::string("x0") : v;
+    };
+    query_text += ": " + Join(b2.Text(pinned), " & ");
+    auto oracle_vocab = KlugVocabulary();
+    Result<Database> db = ParseDatabase(db_text, oracle_vocab);
+    ASSERT_TRUE(db.ok()) << db_text;
+    Result<Query> query = ParseQuery(query_text, oracle_vocab);
+    ASSERT_TRUE(query.ok()) << query_text;
+
+    for (OrderSemantics semantics :
+         {OrderSemantics::kFinite, OrderSemantics::kInteger,
+          OrderSemantics::kRational}) {
+      Result<oracle::Verdict> verdict =
+          oracle::Decide(db.value(), query.value(), semantics);
+      ASSERT_TRUE(verdict.ok());
+      ASSERT_NE(verdict.value(), oracle::Verdict::kInconsistent);
+      Result<ContainmentResult> result =
+          Contained(q1, q2, KlugVocabulary(), semantics);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result.value().contained,
+                verdict.value() == oracle::Verdict::kEntailed)
+          << "trial " << trial << "\nQ1 body: " << db_text
+          << "Q2: " << query_text;
+      ++(result.value().contained ? contained : not_contained);
+    }
+  }
+  EXPECT_GT(contained, 30);
+  EXPECT_GT(not_contained, 30);
 }
 
 TEST(AnswerSetTest, SimpleJoin) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "storage/snapshot.h"
 #include "util/failpoint.h"
+#include "util/fifo_mutex.h"
 
 namespace iodb {
 namespace {
@@ -358,6 +360,35 @@ TEST(DurableRegistry, CorruptSnapshotSurfacesAsAnOpenError) {
 // restore exactly the live state. An append that lands between a
 // Compact's snapshot and the fresh WAL after it would be lost on
 // restart (the WAL reset drops it, the snapshot never saw it).
+// The registry's writer mutex admits waiters in arrival order: a thread
+// that holds the mutex for a while, unlocks and at once relocks, in a
+// loop, queues behind a waiter instead of overtaking it. With std::mutex
+// such a loop can shut a waiter out for good; the test below then never
+// sees its compacts through. The loop gives up after kMaxLaps.
+TEST(FifoMutexTest, ARelockingLoopDoesNotStarveAWaiter) {
+  constexpr int kMaxLaps = 5000;
+  FifoMutex mu;
+  std::atomic<bool> waiter_done{false};
+  std::atomic<int> laps{0};
+  std::thread looper([&] {
+    while (!waiter_done.load() && laps.load() < kMaxLaps) {
+      std::lock_guard<FifoMutex> lock(mu);
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::microseconds(100);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      ++laps;
+    }
+  });
+  while (laps.load() == 0) std::this_thread::yield();
+  {
+    std::lock_guard<FifoMutex> lock(mu);
+    waiter_done = true;
+  }
+  looper.join();
+  EXPECT_LT(laps.load(), kMaxLaps);
+}
+
 TEST(DurableRegistry, ConcurrentWritersRestoreTheLiveState) {
   TempStore store("concurrent_writers");
   storage::WalSyncOptions sync;

@@ -19,16 +19,31 @@
 //   BM_PublishWide      EvaluationService::Register of such a database,
 //                       freshly parsed: NormView, enumeration context,
 //                       statistics and cost model.
+//
+// And the whole set-up LOAD of engine_mix over the wire protocol:
+//   BM_PipelinedLoadWide  one ProtocolSession over a socketpair LOADs 256
+//                         wide and 16 binary databases, either pipelined
+//                         (/1: every LOAD sent before any reply is read;
+//                         the session serves them in groups on the
+//                         service's workers) or one at a time (/0: each
+//                         reply read before the next LOAD is sent).
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <benchmark/benchmark.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/parser.h"
 #include "core/printer.h"
+#include "server/line_channel.h"
+#include "server/protocol.h"
 #include "service/service.h"
 #include "stats/stats.h"
 #include "storage/snapshot.h"
@@ -221,6 +236,104 @@ void BM_PublishWide(benchmark::State& state) {
   }
 }
 
+// An engine_mix-shaped binary database text: two short chains, R and S
+// facts over their points, and a few P and Q labels.
+std::string BinaryDbText(Rng& rng) {
+  std::vector<std::string> points;
+  std::string text;
+  for (int c = 0; c < 2; ++c) {
+    const int length = rng.UniformInt(2, 3);
+    for (int i = 0; i < length; ++i) {
+      points.push_back("b" + std::to_string(c) + "_" + std::to_string(i));
+      if (i > 0) text += rng.Bernoulli(0.6) ? " < " : " <= ";
+      text += points.back();
+    }
+    text += "\n";
+  }
+  for (const char* pred : {"R", "S"}) {
+    for (int i = rng.UniformInt(2, 4); i > 0; --i) {
+      text += std::string(pred) + "(" + points[rng.Uniform(points.size())] +
+              ", " + points[rng.Uniform(points.size())] + ")\n";
+    }
+  }
+  for (const char* pred : {"P", "Q"}) {
+    text += std::string(pred) + "(" + points[rng.Uniform(points.size())] +
+            ")\n";
+  }
+  return text;
+}
+
+bool SendBytes(int fd, const std::string& bytes) {
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + done, bytes.size() - done, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    done += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+void BM_PipelinedLoadWide(benchmark::State& state) {
+  const bool pipelined = state.range(0) != 0;
+  Rng rng(17);
+  std::vector<std::string> commands;
+  for (int i = 0; i < 256; ++i) {
+    commands.push_back("LOAD wide" + std::to_string(i) + "\n" +
+                       WideDbText(rng) + "END\n");
+  }
+  for (int i = 0; i < 16; ++i) {
+    commands.push_back("LOAD bin" + std::to_string(i) + "\n" +
+                       BinaryDbText(rng) + "END\n");
+  }
+  std::string all;
+  for (const std::string& command : commands) all += command;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto serving = std::make_unique<server::ServingState>(
+        ServiceOptions{}, storage::WalSyncOptions{});
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+      state.SkipWithError("socketpair failed");
+      return;
+    }
+    std::thread session_thread([&] {
+      server::LineChannel channel(fds[1], fds[1]);
+      server::ProtocolSession session(serving.get(), &channel,
+                                      server::ProtocolSession::Options{});
+      session.Run();
+      ::close(fds[1]);
+    });
+    server::LineChannel replies(fds[0], fds[0]);
+    std::string line;
+    state.ResumeTiming();
+    bool ok = true;
+    if (pipelined) {
+      // Both directions stay well inside the socket buffers.
+      ok = SendBytes(fds[0], all);
+      for (size_t i = 0; ok && i < commands.size(); ++i) {
+        ok = replies.ReadLine(&line) == server::LineChannel::ReadStatus::kLine &&
+             line.rfind("OK db=", 0) == 0;
+      }
+    } else {
+      for (size_t i = 0; ok && i < commands.size(); ++i) {
+        ok = SendBytes(fds[0], commands[i]) &&
+             replies.ReadLine(&line) == server::LineChannel::ReadStatus::kLine &&
+             line.rfind("OK db=", 0) == 0;
+      }
+    }
+    state.PauseTiming();
+    if (!ok) state.SkipWithError("LOAD failed");
+    ::shutdown(fds[0], SHUT_WR);
+    session_thread.join();
+    ::close(fds[0]);
+    serving.reset();
+    state.ResumeTiming();
+  }
+  state.counters["databases"] = static_cast<double>(commands.size());
+}
+
 // (chains, chain length): ~200, ~2k and ~20k events.
 #define STORAGE_SIZES                                                     \
   Args({4, 50})->Args({8, 250})->Args({16, 1250})
@@ -232,6 +345,11 @@ BENCHMARK(BM_SnapshotEncode)->STORAGE_SIZES->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ParseQueryFresh)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_CollectStatsWide)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PublishWide)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PipelinedLoadWide)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace iodb

@@ -333,6 +333,8 @@ void Database::RestoreIdentity(uint64_t uid, uint64_t revision) {
   }
 }
 
+uint64_t Database::NextUid() { return NextDatabaseUid(); }
+
 Result<const NormDb*> Database::NormView() const {
   if (norm_cache_ == nullptr || norm_cache_revision_ != revision_) {
     // Hand the outgoing view's order context to the fresh view so the

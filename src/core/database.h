@@ -160,8 +160,14 @@ class Database {
   /// process-wide uid counter is advanced past `uid` (fresh databases can
   /// never collide with a restored identity) and the memoized NormView is
   /// dropped. Only the storage layer should call this, and only right
-  /// after reconstructing the content the identity describes.
+  /// after reconstructing the content the identity describes — or the
+  /// serving layer, to give a just-parsed database a uid from NextUid().
   void RestoreIdentity(uint64_t uid, uint64_t revision);
+
+  /// Draws a fresh uid from the process-wide counter constructors use.
+  /// The serving layer mints the uids of a group of LOADs up front, in
+  /// command order, and parses the group on several threads.
+  static uint64_t NextUid();
 
   /// Type-erased memo slot for the statistics layer (src/stats): one
   /// entry describing this database's content at `revision`. The core

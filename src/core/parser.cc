@@ -292,10 +292,14 @@ class NameIndex {
 // GetOrAddConstant, AddOrderAtom, AddInequality).
 class DbBuilder {
  public:
+  // `unregistered` null: predicates register as they appear. Otherwise
+  // nothing registers, and an unknown predicate ends the build with its
+  // name in *unregistered.
   DbBuilder(const std::vector<Token>& tokens, size_t num_statements,
-            VocabularyPtr vocab)
+            VocabularyPtr vocab, std::string* unregistered)
       : tokens_(tokens),
         vocab_(std::move(vocab)),
+        unregistered_(unregistered),
         constants_(tokens.size() / 4),
         preds_(16) {
     proper_.reserve(num_statements);
@@ -384,6 +388,19 @@ class DbBuilder {
     return true;
   }
 
+  // GetOrAddPredicate, or without registration the lookup half of it.
+  Result<int> Resolve(std::string_view name, std::vector<Sort> sorts) {
+    if (unregistered_ == nullptr) {
+      return vocab_->GetOrAddPredicate(std::string(name), std::move(sorts));
+    }
+    Result<std::optional<int>> found = vocab_->FindPredicate(name, sorts);
+    if (!found.ok()) return found.status();
+    if (found.value().has_value()) return *found.value();
+    *unregistered_ = std::string(name);
+    return Status::Unsupported("predicate " + Quoted(name) +
+                               " is not registered");
+  }
+
   static Status Redeclared(std::string_view name) {
     return Status::InvalidArgument("predicate " + Quoted(name) +
                                    " redeclared with a different signature");
@@ -403,7 +420,7 @@ class DbBuilder {
       }
     }
     const std::string_view name = Text(st.first);
-    Result<int> pred = vocab_->GetOrAddPredicate(std::string(name), sorts);
+    Result<int> pred = Resolve(name, std::move(sorts));
     if (!pred.ok()) return pred.status();
     bool inserted = false;
     preds_.Intern(name, &inserted);
@@ -424,8 +441,7 @@ class DbBuilder {
     bool inserted = false;
     const int index = preds_.Intern(name, &inserted);
     if (inserted) {
-      const std::string pred_name(name);
-      std::optional<int> existing = vocab_->FindPredicate(pred_name);
+      std::optional<int> existing = vocab_->FindPredicate(name);
       const PredicateInfo* declared =
           existing.has_value() ? &vocab_->predicate(*existing) : nullptr;
       std::vector<Sort> sorts;
@@ -439,7 +455,7 @@ class DbBuilder {
           sorts.push_back(Sort::kObject);
         }
       }
-      Result<int> pred = vocab_->GetOrAddPredicate(pred_name, sorts);
+      Result<int> pred = Resolve(name, std::move(sorts));
       if (!pred.ok()) return pred.status();  // ends the parse
       pred_entries_.push_back({pred.value(), &vocab_->predicate(pred.value())});
     }
@@ -474,6 +490,7 @@ class DbBuilder {
 
   const std::vector<Token>& tokens_;
   VocabularyPtr vocab_;
+  std::string* unregistered_;
   NameIndex constants_;
   std::vector<ConstantEntry> entries_;  // by constants_ id
   int num_object_ = 0;
@@ -486,9 +503,8 @@ class DbBuilder {
   std::vector<InequalityAtom> inequalities_;
 };
 
-}  // namespace
-
-Result<Database> ParseDatabase(const std::string& text, VocabularyPtr vocab) {
+Result<Database> ParseDb(const std::string& text, VocabularyPtr vocab,
+                         std::string* unregistered) {
   std::vector<Token> tokens;
   Status status = Tokenize(text, /*newline_separates=*/true, &tokens);
   if (!status.ok()) return status;
@@ -497,8 +513,21 @@ Result<Database> ParseDatabase(const std::string& text, VocabularyPtr vocab) {
   statements.reserve(tokens.size() / 4 + 1);
   status = ParseDbStatements(cursor, &statements);
   if (!status.ok()) return status;
-  return DbBuilder(tokens, statements.size(), std::move(vocab))
+  return DbBuilder(tokens, statements.size(), std::move(vocab), unregistered)
       .Build(statements);
+}
+
+}  // namespace
+
+Result<Database> ParseDatabase(const std::string& text, VocabularyPtr vocab) {
+  return ParseDb(text, std::move(vocab), nullptr);
+}
+
+Result<Database> ParseDatabaseWithoutRegistering(const std::string& text,
+                                                 VocabularyPtr vocab,
+                                                 std::string* unregistered) {
+  unregistered->clear();
+  return ParseDb(text, std::move(vocab), unregistered);
 }
 
 Result<Query> ParseQuery(const std::string& text, VocabularyPtr vocab) {

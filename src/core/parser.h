@@ -33,6 +33,18 @@ namespace iodb {
 /// Parses a database, registering predicates into `vocab`.
 Result<Database> ParseDatabase(const std::string& text, VocabularyPtr vocab);
 
+/// As ParseDatabase, but registers nothing into `vocab`, so databases
+/// can be parsed on many threads while registrations are kept in a
+/// chosen order. If the text names a predicate `vocab` does not hold,
+/// the parse stops at the first statement that would register one,
+/// leaves the predicate's name in `*unregistered` and fails. Otherwise
+/// `*unregistered` is left empty and the outcome, success or error, is
+/// byte for byte what ParseDatabase returns against any later state of
+/// `vocab`: predicates are append-only and keep their signatures.
+Result<Database> ParseDatabaseWithoutRegistering(const std::string& text,
+                                                 VocabularyPtr vocab,
+                                                 std::string* unregistered);
+
 /// Parses a query in disjunctive normal form. Predicates must already be
 /// known to `vocab` (parse the database first, or declare them).
 Result<Query> ParseQuery(const std::string& text, VocabularyPtr vocab);

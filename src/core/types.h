@@ -7,13 +7,13 @@
 #define IODB_CORE_TYPES_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "util/check.h"
@@ -45,17 +45,38 @@ struct PredicateInfo {
 /// shared_ptr) between the databases and queries that talk about the same
 /// predicates, so predicate ids are directly comparable.
 ///
-/// Thread-safety: fully synchronized. Registration
-/// (GetOrAddPredicate / MustAddPredicate) may race lookups from any
-/// number of threads — the serving layer parses queries and mutations
-/// concurrently against one shared vocabulary. References returned by
-/// predicate() stay valid forever (predicates are append-only in stable
-/// storage), so engines can hold them across later registrations.
+/// Thread-safety: reads never lock. predicate(), num_predicates(),
+/// FindPredicate() and AllMonadicOrder() are lock-free, and so is
+/// GetOrAddPredicate() when the name is already registered; only a
+/// registration that adds a predicate takes the writer mutex, and
+/// writers serialize on it. Any number of threads may read while one
+/// registers: the serving layer parses queries, mutations and LOADed
+/// databases concurrently against one shared vocabulary.
+///
+/// How: predicates live in an append-only table of doubling segments
+/// behind an atomic size. Names resolve through an insert-only
+/// open-addressing index whose slots are atomic; on growth the writer
+/// builds a larger index and publishes it with one pointer store. A
+/// writer fills the table slot, files the name in the index, and
+/// publishes the size last, with release: a reader that sees the size
+/// (acquire) sees both, so every id below num_predicates() is found by
+/// name, and a lookup ignores ids at or past the size. Segments and
+/// superseded indexes are freed only when the vocabulary dies, so a
+/// reader on an old index still probes valid memory. A predicate's name
+/// and signature never change once registered, so references returned
+/// by predicate() stay valid for the vocabulary's lifetime and engines
+/// can hold them across later registrations.
+///
+/// Copy assignment is NOT safe against concurrent readers of the
+/// assigned-to vocabulary: it replaces the tables, so references from
+/// its predicate() dangle. Assign only a vocabulary no other thread
+/// uses.
 class Vocabulary {
  public:
   Vocabulary();
   Vocabulary(const Vocabulary& other);
   Vocabulary& operator=(const Vocabulary& other);
+  ~Vocabulary();
 
   /// Identity of this vocabulary object. Unique per live object (copies
   /// get a fresh uid), so external caches keyed by (vocabulary uid, query
@@ -76,7 +97,14 @@ class Vocabulary {
   int MustAddPredicate(const std::string& name, std::vector<Sort> arg_sorts);
 
   /// Looks up a predicate id by name.
-  std::optional<int> FindPredicate(const std::string& name) const;
+  std::optional<int> FindPredicate(std::string_view name) const;
+
+  /// GetOrAddPredicate without the add: the id if `name` is registered
+  /// with `arg_sorts`, the error GetOrAddPredicate gives if it is
+  /// registered with another signature, and nullopt if it is not
+  /// registered. Registers nothing.
+  Result<std::optional<int>> FindPredicate(
+      std::string_view name, const std::vector<Sort>& arg_sorts) const;
 
   /// Storage-layer hook: adopts a persisted identity. The process-wide uid
   /// counter is advanced past `uid`, so vocabularies constructed later can
@@ -85,31 +113,62 @@ class Vocabulary {
   /// published yet (re-identifying a vocabulary re-keys every cache).
   void RestoreUid(uint64_t uid);
 
-  /// The reference is stable: it survives later registrations (deque
-  /// storage, append-only) and any concurrent GetOrAddPredicate.
+  /// The reference is stable for the vocabulary's lifetime: it survives
+  /// later registrations, concurrent or not.
   const PredicateInfo& predicate(int id) const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
     IODB_CHECK_GE(id, 0);
-    IODB_CHECK_LT(id, static_cast<int>(predicates_.size()));
-    return predicates_[id];
+    IODB_CHECK_LT(id, num_predicates());
+    int offset = 0;
+    const int segment = SegmentOf(id, &offset);
+    return segments_[segment].load(std::memory_order_acquire)[offset];
   }
   int num_predicates() const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return static_cast<int>(predicates_.size());
+    return size_.load(std::memory_order_acquire);
   }
 
   /// True if every predicate is monadic over the order sort.
   bool AllMonadicOrder() const;
 
  private:
-  // Guards every member but uid_. A deque (not vector) holds the
-  // predicates so references handed out by predicate() never move under a
-  // concurrent registration's growth.
-  mutable std::shared_mutex mu_;
+  // Segment s holds ids [kFirstSegment * (2^s - 1), kFirstSegment *
+  // (2^(s+1) - 1)); kSegments of them address more ids than an int has.
+  static constexpr int kFirstSegment = 16;
+  static constexpr int kSegments = 28;
+  // The name index: slot = 0 (empty) or the high 32 bits of the name's
+  // hash over (id + 1). Insert-only; at most half full.
+  struct NameIndex {
+    explicit NameIndex(size_t capacity);
+    size_t mask;
+    std::unique_ptr<std::atomic<uint64_t>[]> slots;
+  };
+
+  static int SegmentOf(int id, int* offset) {
+    const unsigned block = static_cast<unsigned>(id / kFirstSegment) + 1;
+    const int segment = std::bit_width(block) - 1;
+    *offset = id - kFirstSegment * ((1 << segment) - 1);
+    return segment;
+  }
+  static uint64_t HashName(std::string_view name);
+  // The id of `name` in the published index, or -1.
+  int Lookup(std::string_view name) const;
+  // Writer side (mu_ held): appends a predicate the index lacks.
+  int Append(std::string name, std::vector<Sort> arg_sorts);
+  // Writer side (mu_ held): files id under `hash` in `index`.
+  static void Insert(NameIndex* index, uint64_t hash, int id);
+  // Drops every table (destruction and assignment; no reader may run).
+  void Clear();
+  // Appends every predicate of `other` (mu_ held or no reader yet).
+  void CopyPredicatesFrom(const Vocabulary& other);
+
   // Changes only at construction, assignment and RestoreUid.
   std::atomic<uint64_t> uid_;
-  std::deque<PredicateInfo> predicates_;
-  std::unordered_map<std::string, int> index_;
+  // Serializes registrations; readers never take it.
+  std::mutex mu_;
+  std::atomic<int> size_{0};
+  std::atomic<PredicateInfo*> segments_[kSegments] = {};
+  std::atomic<NameIndex*> index_{nullptr};
+  // Every index ever published (the live one last); freed by Clear().
+  std::vector<std::unique_ptr<NameIndex>> indexes_;
 };
 
 using VocabularyPtr = std::shared_ptr<Vocabulary>;

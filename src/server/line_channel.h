@@ -24,6 +24,8 @@
 #ifndef IODB_SERVER_LINE_CHANNEL_H_
 #define IODB_SERVER_LINE_CHANNEL_H_
 
+#include <sys/types.h>
+
 #include <cstddef>
 #include <string>
 #include <string_view>
@@ -56,6 +58,16 @@ class LineChannel {
   /// comes on the following call), matching std::getline.
   ReadStatus ReadLine(std::string* line);
 
+  /// The "complete line buffered" query: true, with `*line` viewing the
+  /// next line (newline stripped) but not consuming it, if a complete
+  /// line within kMaxLineBytes is buffered — after reading what the
+  /// descriptor holds right now, if none was. Never waits. False
+  /// when the next ReadLine would have to wait, or would report anything
+  /// but kLine, or after a wake: the caller then goes to ReadLine, whose
+  /// verdict stands. The view is valid until the next call on the
+  /// channel; the next ReadLine returns the same line.
+  bool PeekLine(std::string_view* line);
+
   /// The length (newline excluded) of the line the last kTooLong skipped.
   size_t too_long_bytes() const { return too_long_bytes_; }
 
@@ -74,6 +86,10 @@ class LineChannel {
   bool Flush();
 
  private:
+  // Drops the consumed prefix and appends one read() chunk: > 0 bytes
+  // read, 0 at EOF (sets eof_), < 0 on error (errno set).
+  ssize_t ReadChunk();
+
   int read_fd_;
   int write_fd_;
   int wake_fd_;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "stats/stats.h"
+#include "util/parallel.h"
 #include "util/strings.h"
 
 namespace iodb::server {
@@ -36,6 +37,29 @@ Status ServingState::FlushRegistry() {
   if (registry_ == nullptr) return Status::Ok();
   return registry_->Flush();
 }
+
+namespace {
+
+// Splits a command line into its verb and its (stripped) arguments; the
+// verb is empty for a blank or comment line.
+void SplitCommand(std::string_view line, std::string* command,
+                  std::string* args) {
+  std::string_view rest = StripWhitespace(line);
+  if (rest.empty() || rest[0] == '#') {
+    command->clear();
+    args->clear();
+    return;
+  }
+  const size_t space = rest.find(' ');
+  command->assign(rest.substr(0, space));
+  if (space == std::string_view::npos) {
+    args->clear();
+  } else {
+    args->assign(StripWhitespace(rest.substr(space)));
+  }
+}
+
+}  // namespace
 
 ProtocolSession::ProtocolSession(ServingState* state, LineChannel* channel,
                                  Options options, const CancelToken* cancel)
@@ -97,14 +121,100 @@ LineChannel::ReadStatus ProtocolSession::ReadUntilEnd(
 void ProtocolSession::HandleLoad(const std::string& name,
                                  const std::string& text) {
   storage::DurableRegistry* registry = state_->registry();
-  Result<DbInfo> info =
-      registry != nullptr ? registry->Load(name, text)
-                          : state_->service().Load(name, text);
+  RespondLoad(registry != nullptr ? registry->Load(name, text)
+                                  : state_->service().Load(name, text));
+}
+
+void ProtocolSession::RespondLoad(const Result<DbInfo>& info) {
   if (!info.ok()) {
     Err(info.status().ToString());
   } else {
     channel_->Write("OK db=" + info.value().name +
                     " atoms=" + std::to_string(info.value().atoms) + "\n");
+  }
+}
+
+std::optional<ProtocolSession::LoadCommand> ProtocolSession::GatherLoads(
+    std::vector<LoadCommand>* group) {
+  size_t bytes = 0;
+  for (const LoadCommand& load : *group) {
+    bytes += load.name.size() + load.text.size();
+  }
+  std::string line;
+  std::string_view next;
+  while (bytes < kLoadGroupBytes && channel_->PeekLine(&next)) {
+    std::string command, args;
+    SplitCommand(next, &command, &args);
+    if (command.empty()) {  // a blank or comment line between LOADs
+      channel_->ReadLine(&line);
+      continue;
+    }
+    if (command != "LOAD" || args.empty()) break;
+    channel_->ReadLine(&line);  // the peeked command line
+    LoadCommand load{std::move(args), std::string()};
+    for (;;) {
+      if (!channel_->PeekLine(&next)) return load;
+      channel_->ReadLine(&line);
+      if (StripWhitespace(line) == "END") break;
+      load.text += line;
+      load.text += '\n';
+    }
+    bytes += load.name.size() + load.text.size();
+    group->push_back(std::move(load));
+  }
+  return std::nullopt;
+}
+
+void ProtocolSession::ServeLoads(std::vector<LoadCommand>* group) {
+  if (group->size() == 1) {
+    HandleLoad(group->front().name, group->front().text);
+    return;
+  }
+  EvaluationService& service = state_->service();
+  storage::DurableRegistry* registry = state_->registry();
+  const int n = static_cast<int>(group->size());
+  // Uids in command order, whichever worker parses which database.
+  std::vector<uint64_t> uids(n);
+  for (uint64_t& uid : uids) uid = Database::NextUid();
+  // Workers register no predicate: a parse that needs one stops and
+  // names it, and is finished in command order below, so predicate ids
+  // come out as a one-at-a-time session assigns them. Every other
+  // outcome is already the serial one (ParseDatabaseWithoutRegistering).
+  std::vector<std::optional<Result<Database>>> dbs(n);
+  std::vector<std::string> unregistered(n);
+  auto materialize = [&](int i) {
+    dbs[i] = service.Materialize((*group)[i].text, uids[i], &unregistered[i]);
+  };
+  ParallelFor(n, service.num_workers(), materialize);
+  for (int i = 0; i < n; ++i) {
+    if (!unregistered[i].empty()) {
+      // Registrations since the first try may have unblocked this parse
+      // and later ones: retry, in parallel, each whose missing predicate
+      // now exists. (One whose missing predicate is still absent would
+      // stop at the same statement again.)
+      std::vector<int> retry;
+      for (int j = i; j < n; ++j) {
+        if (!unregistered[j].empty() &&
+            service.vocab()->FindPredicate(unregistered[j]).has_value()) {
+          retry.push_back(j);
+        }
+      }
+      ParallelFor(static_cast<int>(retry.size()), service.num_workers(),
+                  [&](int k) { materialize(retry[k]); });
+    }
+    if (!unregistered[i].empty()) {
+      // Its turn has come: parse with registration, as LOAD alone does.
+      dbs[i] = service.Materialize((*group)[i].text, uids[i]);
+    }
+    Result<Database>& db = *dbs[i];
+    if (!db.ok()) {
+      RespondLoad(db.status());
+      continue;
+    }
+    const std::string& name = (*group)[i].name;
+    RespondLoad(registry != nullptr
+                    ? registry->Register(name, std::move(db.value()))
+                    : service.Register(name, std::move(db.value())));
   }
 }
 
@@ -266,13 +376,9 @@ ProtocolSession::ExitReason ProtocolSession::Run() {
       ErrLineTooLong(channel_->too_long_bytes());
       continue;
     }
-    std::string_view rest = StripWhitespace(line);
-    if (rest.empty() || rest[0] == '#') continue;
-    size_t space = rest.find(' ');
-    std::string command(rest.substr(0, space));
-    std::string args = space == std::string_view::npos
-                           ? std::string()
-                           : std::string(StripWhitespace(rest.substr(space)));
+    std::string command, args;
+    SplitCommand(line, &command, &args);
+    if (command.empty()) continue;
 
     if (command == "QUIT") {
       break;
@@ -281,25 +387,38 @@ ProtocolSession::ExitReason ProtocolSession::Run() {
         Err(command + " needs a database name");
         continue;
       }
-      std::string text;
-      size_t too_long = 0;
-      LineChannel::ReadStatus payload = ReadUntilEnd(&text, &too_long);
-      if (payload == LineChannel::ReadStatus::kInterrupted) {
-        return ExitReason::kInterrupted;
+      LoadCommand load{std::move(args), std::string()};
+      bool unterminated = false;
+      for (;;) {
+        size_t too_long = 0;
+        LineChannel::ReadStatus payload = ReadUntilEnd(&load.text, &too_long);
+        if (payload == LineChannel::ReadStatus::kInterrupted) {
+          return ExitReason::kInterrupted;
+        }
+        if (payload != LineChannel::ReadStatus::kLine) {
+          Err("unterminated " + command + " (missing END)");
+          unterminated = true;
+          break;
+        }
+        if (too_long > 0) {
+          ErrLineTooLong(too_long);
+          break;
+        }
+        if (command == "APPEND") {
+          HandleAppend(load.name, load.text);
+          break;
+        }
+        std::vector<LoadCommand> group;
+        group.push_back(std::move(load));
+        std::optional<LoadCommand> partial = GatherLoads(&group);
+        ServeLoads(&group);
+        if (!partial.has_value()) break;
+        // The next LOAD's payload is still arriving: answer the group
+        // before waiting for the rest of it.
+        if (!channel_->Flush()) return ExitReason::kChannelError;
+        load = std::move(*partial);
       }
-      if (payload != LineChannel::ReadStatus::kLine) {
-        Err("unterminated " + command + " (missing END)");
-        break;
-      }
-      if (too_long > 0) {
-        ErrLineTooLong(too_long);
-        continue;
-      }
-      if (command == "LOAD") {
-        HandleLoad(args, text);
-      } else {
-        HandleAppend(args, text);
-      }
+      if (unterminated) break;
     } else if (command == "OPEN") {
       if (!options_.allow_open) {
         Err("OPEN is not available on socket sessions (start the server "

@@ -23,7 +23,9 @@
 #define IODB_SERVER_PROTOCOL_H_
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "server/line_channel.h"
 #include "service/service.h"
@@ -32,6 +34,11 @@
 #include "util/budget.h"
 
 namespace iodb::server {
+
+/// Payload and name bytes a group of pipelined LOADs may reach before it
+/// is served: bounds the text and the unpublished databases one session
+/// holds at once. A constant, not a knob.
+inline constexpr size_t kLoadGroupBytes = size_t{256} << 10;
 
 /// The process-wide serving state: a bare in-memory service, swapped
 /// for a durable registry's service when one is open.
@@ -60,7 +67,9 @@ class ServingState {
 };
 
 /// One client's command loop. Reads commands from the channel, writes
-/// responses to it, and flushes after every command.
+/// responses to it, and flushes before it waits for input. A run of
+/// pipelined LOADs is parsed and materialized on the service's workers
+/// and answered in command order ("Pipelined LOAD" in docs/SERVING.md).
 class ProtocolSession {
  public:
   struct Options {
@@ -95,6 +104,23 @@ class ProtocolSession {
   void Err(const std::string& message);
   void ErrLineTooLong(size_t bytes);
   void PrintResponse(const Result<EvalResponse>& response);
+
+  // A LOAD whose payload has been read, waiting in a group.
+  struct LoadCommand {
+    std::string name;
+    std::string text;
+  };
+
+  /// Extends `group` (one LOAD, payload read) with the LOADs that follow
+  /// it and can be read without waiting, up to kLoadGroupBytes. Returns
+  /// the LOAD whose payload ran dry mid-way, if one did: it is not in
+  /// the group and the rest of its payload is still to be read.
+  std::optional<LoadCommand> GatherLoads(std::vector<LoadCommand>* group);
+
+  /// Parses and materializes `group` on the service's workers, then
+  /// publishes each LOAD and writes its response in command order.
+  void ServeLoads(std::vector<LoadCommand>* group);
+  void RespondLoad(const Result<DbInfo>& info);
 
   /// Reads payload lines up to the END terminator. An over-long line is
   /// skipped, and the length of the first one lands in `*too_long_bytes`

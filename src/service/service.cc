@@ -69,22 +69,42 @@ Result<DbInfo> EvaluationService::Load(const std::string& name,
   if (name.empty()) {
     return Status::InvalidArgument("database name must be nonempty");
   }
-  Result<Database> db = ParseDatabase(text, vocab_);
+  Result<Database> db = Materialize(text);
   if (!db.ok()) return db.status();
   return Register(name, std::move(db.value()));
 }
 
-DbInfo EvaluationService::Publish(const std::string& name, Database db) {
-  // Pre-materialize the derived structures on the writer, so no reader of
-  // the published version ever triggers a lazy fill (NormView and the
-  // enumeration context fill under const and are not built for
-  // concurrent first-touch). A database the normalizer rejects publishes
+Result<Database> EvaluationService::Materialize(const std::string& text,
+                                                uint64_t uid,
+                                                std::string* unregistered)
+    const {
+  Result<Database> db =
+      unregistered == nullptr
+          ? ParseDatabase(text, vocab_)
+          : ParseDatabaseWithoutRegistering(text, vocab_, unregistered);
+  if (!db.ok()) return db;
+  if (uid != 0) db.value().RestoreIdentity(uid, db.value().revision());
+  Prematerialize(db.value());
+  return db;
+}
+
+void EvaluationService::Prematerialize(const Database& db) {
+  // NormView and the enumeration context fill under const and are not
+  // built for concurrent first-touch, so they are built before anyone
+  // can read the database. A database the normalizer rejects publishes
   // anyway — evaluation reports the same error per request.
   Result<const NormDb*> view = db.NormView();
   if (view.ok()) (void)SharedEnumerationContext(*view.value());
   // Statistics + cost model too: readers fetch the memoized entry with
   // one shared_ptr copy, never filling the slot concurrently.
   (void)stats::PlannerFor(db);
+}
+
+DbInfo EvaluationService::Publish(const std::string& name, Database db) {
+  // On the writer, so no reader of the published version ever triggers a
+  // lazy fill; after Materialize (and for a fork whose mutation left the
+  // memo current) these are memo hits.
+  Prematerialize(db);
   DbInfo info{name, db.SizeAtoms(), db.uid(), db.revision()};
   auto published = std::make_shared<const Database>(std::move(db));
   {

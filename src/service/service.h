@@ -29,14 +29,17 @@
 //
 // Thread-safety: the service is fully synchronized — any number of
 // threads may call Eval/EvalBatch concurrently with each other and with
-// Load/Register/Mutate. Readers never block on a writer: Eval pins the
-// published version at request start (one shared_ptr copy under a brief
-// shared lock) and runs lock-free against that immutable version; the
+// Load/Materialize/Register/Mutate. Readers never block on a writer:
+// Eval pins the published version at request start (one shared_ptr copy
+// under a brief shared lock) and runs lock-free against that immutable
+// version; the
 // single-writer path builds the next version off to the side and
 // publishes it with one pointer swap, so readers on the old version
 // drain naturally as their requests finish. Writers serialize against
-// each other on an internal mutex. The shared Vocabulary is itself
-// internally synchronized (concurrent query/mutation parsing is safe).
+// each other on an internal mutex; Materialize, the parse-and-build half
+// of Load, takes no lock at all. The shared Vocabulary is itself
+// internally synchronized, and its reads take no lock (concurrent
+// query, mutation and database parsing is safe).
 
 #ifndef IODB_SERVICE_SERVICE_H_
 #define IODB_SERVICE_SERVICE_H_
@@ -128,12 +131,29 @@ class EvaluationService {
   /// `name`, replacing any previous registration (the replacement is a
   /// fresh Database object, so its uid differs and no cache can confuse
   /// the two). New predicates are registered into the service vocabulary.
+  /// The two steps are Materialize and Register.
   Result<DbInfo> Load(const std::string& name, const std::string& text);
 
-  /// Registers an externally built database. It must share the service
-  /// vocabulary (build it against vocab()), or the compiled plans'
-  /// predicate ids would be meaningless against it.
+  /// Load's first step: parses `text` against the service vocabulary and
+  /// pre-materializes what Register would (NormView, enumeration
+  /// context, statistics and cost model), so Register's own calls are
+  /// memo hits. Takes no lock — the database is visible to no one yet —
+  /// so any number of threads may materialize at once. `uid` (nonzero,
+  /// from Database::NextUid()) becomes the database's uid before its
+  /// statistics are built. `unregistered` (optional) switches the parse
+  /// to ParseDatabaseWithoutRegistering: a text that needs a new
+  /// predicate fails and names it there, and registers nothing.
+  Result<Database> Materialize(const std::string& text, uint64_t uid = 0,
+                               std::string* unregistered = nullptr) const;
+
+  /// Registers an externally built database (Load's second step: the
+  /// publish). It must share the service vocabulary (build it against
+  /// vocab()), or the compiled plans' predicate ids would be meaningless
+  /// against it.
   Result<DbInfo> Register(const std::string& name, Database db);
+
+  /// Worker threads for batch evaluation and grouped LOADs.
+  int num_workers() const { return num_workers_; }
 
   /// Pins the currently published version of `name` (nullptr if
   /// unregistered). One shared_ptr copy under a brief shared lock; the
@@ -209,6 +229,10 @@ class EvaluationService {
   /// Swaps `db` in as the published version of `name` (caller holds
   /// write_mu_). Pre-materializes the derived structures first.
   DbInfo Publish(const std::string& name, Database db);
+
+  /// Builds every derived structure a reader may touch (memoized in the
+  /// database, so a second call is a set of memo hits).
+  static void Prematerialize(const Database& db);
 
   /// The request's effective limits (service defaults filled in).
   long long EffectiveDeadlineMs(const EvalRequest& request) const;

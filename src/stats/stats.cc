@@ -20,6 +20,10 @@ constexpr uint8_t kStatsFormatVersion = 1;
 // excluded from ContentFingerprint().
 constexpr size_t kIdentityPrefixBytes = 1 + 8 + 8;
 
+// Up to this many distinct labels in one database, label pairs are
+// counted in a dense table (64 x 64 counters at most) instead of sorted.
+constexpr size_t kDenseLabelPairs = 64;
+
 // Union-find over dag vertices for the component histogram.
 struct UnionFind {
   std::vector<int> parent;
@@ -139,57 +143,105 @@ DatabaseStats CollectStats(const Database& db) {
     }
   }
 
-  // Label cardinalities and the pairwise co-occurrence sketch. Each
-  // co-occurring pair is the packed key (p << 32 | q); after one sort a
-  // pair's count is the length of its run, and the runs come out in
-  // ascending (p, q).
+  // Label cardinalities and the pairwise co-occurrence sketch, in
+  // ascending (p, q). The labels of each point come out ascending.
   std::vector<long long> label_count(npreds, 0);
-  std::vector<uint64_t> pair_keys;
-  std::vector<int> labels;
+  std::vector<int> flat_labels;  // every point's labels, point by point
+  std::vector<size_t> point_end(s.points, 0);
   for (int p = 0; p < s.points; ++p) {
-    labels.clear();
     const std::vector<uint64_t>& words = ndb.labels[p].words();
     for (size_t w = 0; w < words.size(); ++w) {
       for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
-        labels.push_back(static_cast<int>(w) * 64 + std::countr_zero(bits));
+        const int label = static_cast<int>(w) * 64 + std::countr_zero(bits);
+        ++label_count[label];
+        flat_labels.push_back(label);
       }
     }
-    for (size_t i = 0; i < labels.size(); ++i) {
-      ++label_count[labels[i]];
-      for (size_t j = i + 1; j < labels.size(); ++j) {
-        pair_keys.push_back(static_cast<uint64_t>(labels[i]) << 32 |
-                            static_cast<uint32_t>(labels[j]));
-      }
-    }
+    point_end[p] = flat_labels.size();
   }
+  // The labels in use, renumbered densely in ascending order.
+  std::vector<int> used;
+  std::vector<int> dense(npreds, -1);
   for (int p = 0; p < npreds; ++p) {
-    if (label_count[p] > 0) s.label_points.emplace_back(p, label_count[p]);
+    if (label_count[p] == 0) continue;
+    s.label_points.emplace_back(p, label_count[p]);
+    dense[p] = static_cast<int>(used.size());
+    used.push_back(p);
   }
-  std::sort(pair_keys.begin(), pair_keys.end());
   std::vector<LabelPairStats> pairs;
-  for (size_t k = 0; k < pair_keys.size(); ++k) {
-    if (k > 0 && pair_keys[k] == pair_keys[k - 1]) {
-      ++pairs.back().points;
-    } else {
-      pairs.push_back({static_cast<int>(pair_keys[k] >> 32),
-                       static_cast<int>(pair_keys[k] & 0xFFFFFFFFu), 1});
+  const size_t k = used.size();
+  if (k <= kDenseLabelPairs) {
+    // Few labels in use: count into a k x k table and read its upper
+    // triangle in order. No comparison sort, whose data-dependent
+    // branches cost more than the counting (docs/STATISTICS.md).
+    std::vector<long long> counts(k * k, 0);
+    size_t begin = 0;
+    for (int p = 0; p < s.points; ++p) {
+      for (size_t i = begin; i < point_end[p]; ++i) {
+        const size_t row = static_cast<size_t>(dense[flat_labels[i]]) * k;
+        for (size_t j = i + 1; j < point_end[p]; ++j) {
+          ++counts[row + static_cast<size_t>(dense[flat_labels[j]])];
+        }
+      }
+      begin = point_end[p];
+    }
+    for (size_t a = 0; a < k; ++a) {
+      for (size_t b = a + 1; b < k; ++b) {
+        if (counts[a * k + b] > 0) {
+          pairs.push_back({used[a], used[b], counts[a * k + b]});
+        }
+      }
+    }
+  } else {
+    // Each co-occurring pair is the packed key (p << 32 | q); after one
+    // sort a pair's count is the length of its run.
+    std::vector<uint64_t> pair_keys;
+    size_t begin = 0;
+    for (int p = 0; p < s.points; ++p) {
+      for (size_t i = begin; i < point_end[p]; ++i) {
+        for (size_t j = i + 1; j < point_end[p]; ++j) {
+          pair_keys.push_back(static_cast<uint64_t>(flat_labels[i]) << 32 |
+                              static_cast<uint32_t>(flat_labels[j]));
+        }
+      }
+      begin = point_end[p];
+    }
+    std::sort(pair_keys.begin(), pair_keys.end());
+    for (size_t i = 0; i < pair_keys.size(); ++i) {
+      if (i > 0 && pair_keys[i] == pair_keys[i - 1]) {
+        ++pairs.back().points;
+      } else {
+        pairs.push_back({static_cast<int>(pair_keys[i] >> 32),
+                         static_cast<int>(pair_keys[i] & 0xFFFFFFFFu), 1});
+      }
     }
   }
   if (pairs.size() > DatabaseStats::kMaxLabelPairs) {
     // Keep the heaviest pairs; ties break on (p, q) so the sketch is a
-    // deterministic function of the content (a strict total order, so
-    // the selected set is exactly the head of the fully sorted list).
-    const auto kept = pairs.begin() + DatabaseStats::kMaxLabelPairs;
-    std::nth_element(pairs.begin(), kept, pairs.end(),
-                     [](const LabelPairStats& a, const LabelPairStats& b) {
-                       if (a.points != b.points) return a.points > b.points;
-                       return std::pair(a.p, a.q) < std::pair(b.p, b.q);
-                     });
-    pairs.erase(kept, pairs.end());
-    std::sort(pairs.begin(), pairs.end(),
-              [](const LabelPairStats& a, const LabelPairStats& b) {
-                return std::pair(a.p, a.q) < std::pair(b.p, b.q);
-              });
+    // deterministic function of the content. `pairs` is in (p, q) order,
+    // so that is: every pair above a threshold count, then the first
+    // pairs at the threshold, kept in place. The threshold comes from a
+    // histogram of the counts (each at most the number of points), not
+    // from a comparison select.
+    std::vector<size_t> with_count(static_cast<size_t>(s.points) + 1, 0);
+    for (const LabelPairStats& pair : pairs) ++with_count[pair.points];
+    size_t threshold = with_count.size() - 1;
+    size_t above = 0;  // pairs with a count over the threshold
+    while (above + with_count[threshold] < DatabaseStats::kMaxLabelPairs) {
+      above += with_count[threshold--];
+    }
+    size_t at_threshold = DatabaseStats::kMaxLabelPairs - above;
+    size_t kept = 0;
+    for (const LabelPairStats& pair : pairs) {
+      const size_t count = static_cast<size_t>(pair.points);
+      if (count == threshold && at_threshold > 0) {
+        --at_threshold;
+        pairs[kept++] = pair;
+      } else if (count > threshold) {
+        pairs[kept++] = pair;
+      }
+    }
+    pairs.resize(kept);
   }
   s.label_pairs = std::move(pairs);
   return s;

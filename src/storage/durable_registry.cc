@@ -209,8 +209,18 @@ Result<DbInfo> DurableRegistry::PersistDatabase(const std::string& name) {
 
 Result<DbInfo> DurableRegistry::Load(const std::string& name,
                                      const std::string& text) {
+  if (name.empty()) {
+    return Status::InvalidArgument("database name must be nonempty");
+  }
+  Result<Database> db = service_.Materialize(text);
+  if (!db.ok()) return db.status();
+  return Register(name, std::move(db.value()));
+}
+
+Result<DbInfo> DurableRegistry::Register(const std::string& name,
+                                         Database db) {
   std::lock_guard<FifoMutex> lock(write_mu_);
-  Result<DbInfo> info = service_.Load(name, text);
+  Result<DbInfo> info = service_.Register(name, std::move(db));
   if (!info.ok()) return info;
   return PersistDatabase(name);
 }

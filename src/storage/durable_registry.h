@@ -25,14 +25,17 @@
 // path.
 //
 // Thread-safety: the registry is the one writer seam of durable
-// serving. Any number of threads may call Load / AppendText / Compact /
-// CompactAll / Flush concurrently (with each other and with readers of
-// service()); each holds the registry's writer mutex for its whole
-// sequence — parse or persist, then the service's publish, then the
-// persistence bookkeeping — so no append can land between a snapshot
-// write and the fresh WAL that follows it, and callers supply no lock
-// of their own. The mutex admits writers in arrival order, so a thread
-// that appends in a loop cannot starve a Compact or Flush. Lock order: the registry mutex, then
+// serving. Any number of threads may call Load / Register / AppendText /
+// Compact / CompactAll / Flush concurrently (with each other and with
+// readers of service()); each holds the registry's writer mutex for its
+// whole sequence — the mutation's parse or the persist, then the
+// service's publish, then the persistence bookkeeping — so no append can
+// land between a snapshot write and the fresh WAL that follows it, and
+// callers supply no lock of their own. Load parses and materializes its
+// database before it takes the mutex: a LOADed database is new, so no
+// one can see it until it is published. The mutex admits writers in
+// arrival order, so a thread that appends in a loop cannot starve a
+// Compact or Flush. Lock order: the registry mutex, then
 // EvaluationService's writer mutex, then its map lock. No hook the
 // registry passes into the service calls back into the registry.
 
@@ -86,8 +89,15 @@ class DurableRegistry {
 
   /// Parses and registers a database under `name` (replacing any
   /// previous registration) and persists it: fresh snapshot, fresh
-  /// (empty) WAL, updated vocabulary sidecar.
+  /// (empty) WAL, updated vocabulary sidecar. The parse and the derived
+  /// structures are built first, outside the writer mutex
+  /// (EvaluationService::Materialize); then Register publishes.
   Result<DbInfo> Load(const std::string& name, const std::string& text);
+
+  /// Load's second step: publishes a database built against the service
+  /// vocabulary (usually by EvaluationService::Materialize) under `name`
+  /// and persists it as Load does, under the writer mutex.
+  Result<DbInfo> Register(const std::string& name, Database db);
 
   /// Appends database-format statements to the registered database
   /// `name` as one WAL group: parses, applies to the live database, and

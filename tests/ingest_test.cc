@@ -622,6 +622,45 @@ TEST(StatsReference, CollectStatsMatchesTheReference) {
   EXPECT_GT(binary, 50);
 }
 
+// Databases whose points carry many distinct labels: past 64 labels in
+// use CollectStats counts label pairs by sorting instead of in a dense
+// table; below it, the labels in use may still have large ids.
+TEST(StatsReference, CollectStatsMatchesTheReferenceOverManyLabels) {
+  auto vocab = std::make_shared<Vocabulary>();
+  constexpr int kWide = 100;
+  for (int k = 0; k < kWide; ++k) {
+    vocab->MustAddPredicate("W" + std::to_string(k), {Sort::kOrder});
+  }
+  int sorted = 0;
+  for (int seed = 0; seed < 40; ++seed) {
+    Rng rng(20261020700ULL + static_cast<uint64_t>(seed));
+    Database db(vocab);
+    const int points = rng.UniformInt(2, 30);
+    for (int i = 0; i < points; ++i) {
+      db.GetOrAddConstant("u" + std::to_string(i), Sort::kOrder);
+      if (i > 0 && rng.Bernoulli(0.5)) db.AddOrderAtom(i - 1, i, OrderRel::kLt);
+    }
+    // Half the seeds draw from the high ids only (fewer than 64 labels).
+    const int lowest = seed % 2 == 0 ? 0 : kWide - 40;
+    const double label_p = rng.Bernoulli(0.5) ? 0.6 : 0.2;
+    for (int i = 0; i < points; ++i) {
+      for (int k = lowest; k < kWide; ++k) {
+        if (!rng.Bernoulli(label_p)) continue;
+        EXPECT_TRUE(
+            db.AddFact("W" + std::to_string(k), {"u" + std::to_string(i)})
+                .ok());
+      }
+    }
+    const stats::DatabaseStats expected = ReferenceCollectStats(db, nullptr);
+    const stats::DatabaseStats actual = stats::CollectStats(db);
+    EXPECT_EQ(actual, expected) << "seed " << seed;
+    EXPECT_EQ(stats::EncodeStats(actual), stats::EncodeStats(expected))
+        << "seed " << seed;
+    if (expected.label_points.size() > 64) ++sorted;
+  }
+  EXPECT_GT(sorted, 5);
+}
+
 // --- cost model golden values ------------------------------------------------
 
 // The fixed cost-model corpus: statistics of seeded databases, plus one

@@ -3,13 +3,17 @@
 //
 // Each seed builds a stream of bursts. A burst is random verbs and flags
 // (EVAL with every flag, good and bad; LOAD/APPEND with junk payloads,
-// always END-terminated mid-stream; BATCH with its count's worth of
-// request lines or more, since a short one would swallow the sentinel;
+// always END-terminated mid-stream; runs of back-to-back LOADs mixing
+// valid, junk and predicate-registering payloads, which the session
+// serves as groups; BATCH with its count's worth of request lines or
+// more, since a short one would swallow the sentinel;
 // INFO/STATS/SAVE/OPEN/unknown verbs), NUL bytes, CRLF line ends, and
-// lines of exactly kMaxLineBytes and kMaxLineBytes + 1 bytes. Every burst is followed by a sentinel
-// `EVAL sentinel --identity <query>` on a database no burst touches. The
-// stream ends with QUIT, a bare EOF, an APPEND without END, or a BATCH
-// cut short by EOF (the only place a BATCH has too few members).
+// lines of exactly kMaxLineBytes and kMaxLineBytes + 1 bytes. Every
+// burst is followed by a sentinel `EVAL sentinel --identity <query>` on
+// a database no burst touches. The stream ends with QUIT, a bare EOF, an
+// APPEND without END, or a BATCH cut short by EOF (the only place a
+// BATCH has too few members). It is sent in random pieces, some after a
+// short pause, so LOAD groups end at random points, some mid-payload.
 //
 // Invariants:
 //   * every sentinel gets its expected verdict line, in order, so the
@@ -29,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -143,13 +148,34 @@ std::string RandomJunkLine(Rng& rng) {
 // A line end: LF, sometimes CRLF.
 std::string Eol(Rng& rng) { return rng.Bernoulli(0.2) ? "\r\n" : "\n"; }
 
+// Back-to-back LOADs, which the session serves as a group: valid
+// databases, junk, and payloads that register fresh predicates (so a
+// group must finish some parses in command order).
+std::string RandomLoadRun(Rng& rng) {
+  static const std::vector<std::string> payloads = {
+      "P(u)\nQ(v)\nu < v\n", "u < v <= w\nP(w)\n", "O(a)\n",
+      "P(u\n",                 "<<<\n",               "pred P(object)\n",
+      "u != v\nQ(u)\n",        "",                     "P(u, v)\n"};
+  std::string out;
+  const int loads = rng.UniformInt(2, 12);
+  for (int i = 0; i < loads; ++i) {
+    out += "LOAD " + Pick(kDbNames, rng) + Eol(rng);
+    if (rng.Bernoulli(0.3)) {
+      out += "Fresh" + std::to_string(rng.Uniform(1000)) + "(u)" + Eol(rng);
+    }
+    out += Pick(payloads, rng);
+    out += "END" + Eol(rng);
+  }
+  return out;
+}
+
 // One mid-stream burst: leaves the session reading commands again.
 // Counts its over-long lines into `*too_long`.
 std::string RandomBurst(Rng& rng, int* too_long) {
   std::string out;
   const int commands = rng.UniformInt(1, 5);
   for (int c = 0; c < commands; ++c) {
-    switch (rng.UniformInt(0, 12)) {
+    switch (rng.UniformInt(0, 13)) {
       case 0:
       case 1:
       case 2:
@@ -202,10 +228,13 @@ std::string RandomBurst(Rng& rng, int* too_long) {
         out += line + "\n";
         break;
       }
-      default:
+      case 12:
         // One byte over: rejected as line-too-long.
         out += std::string(kMaxLineBytes + 1, 'y') + "\n";
         ++*too_long;
+        break;
+      default:
+        out += RandomLoadRun(rng);
         break;
     }
   }
@@ -351,8 +380,23 @@ TEST(ProtocolFuzzTest, SessionsSurviveHostileStreams) {
       reason = session.Run();
       ::close(fds[1]);
     });
+    // Sent in random pieces, some after a pause, so LOAD groups end at
+    // random points, sometimes mid-payload.
+    std::vector<std::string> pieces;
+    for (size_t pos = 0; pos < stream.size();) {
+      pieces.push_back(stream.substr(
+          pos, rng.Bernoulli(0.5) ? stream.size() - pos
+                                  : static_cast<size_t>(
+                                        rng.UniformInt(1, 2048))));
+      pos += pieces.back().size();
+    }
     std::thread writer([&] {
-      SendAll(fds[0], stream);
+      for (const std::string& piece : pieces) {
+        SendAll(fds[0], piece);
+        if (piece.size() % 3 == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+      }
       ::shutdown(fds[0], SHUT_WR);
     });
     std::string output;
